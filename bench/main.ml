@@ -109,10 +109,11 @@ let case_attack_k3 n =
            g) )
 
 let case_attack_cache n =
-  (* the engine cache's headline win: the identical search against a
-     warm shared cache vs a fresh cache per run (the cold row pays the
-     decompositions AND the cache bookkeeping, so the gap is the honest
-     cross-search saving) *)
+  (* the engine cache on a repeated instance: the identical search
+     against a warm shared cache vs a fresh cache per run.  The cache
+     holds one entry per attack request, so the cold row pays the whole
+     search plus one digest and one store, and the warm row one digest
+     and one lookup *)
   let g = ring n in
   let run cache =
     ignore

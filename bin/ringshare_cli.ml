@@ -133,7 +133,10 @@ let domains_arg =
 let cache_arg =
   Arg.(value & opt ~vopt:4096 int 0
        & info [ "cache" ] ~docv:"CAP"
-         ~doc:"Share decompositions across searches through a bounded                cache of $(docv) entries (0 disables; bare --cache means                4096).")
+         ~doc:"Share results across searches through a bounded cache of \
+               $(docv) entries (0 disables; bare --cache means 4096).  An \
+               attack search stores one whole result per instance; \
+               decompose stores its decomposition.")
 
 let time_budget_arg =
   Arg.(value & opt (some float) None
@@ -509,10 +512,10 @@ let hunt seed trials ctx checkpoint resume () =
         | None -> "");
       Ringshare_error.error e
 
-(* One Ctx mapped over many instance files; the decomposition cache is
-   shared by every item (attached here when no --cache was given), so
-   repeated or near-duplicate instances in the list pay for their
-   decompositions once. *)
+(* One Ctx mapped over many instance files; the cache is shared by
+   every item (attached here when no --cache was given) and holds one
+   whole attack result per instance, so a file listed again is answered
+   by a single lookup.  Distinct instances share nothing. *)
 let batch files ctx () =
   if files = [] then begin
     Format.eprintf "ringshare: batch needs at least one instance file@.";

@@ -75,8 +75,52 @@ let with_budget_arg budget ctx =
 let parallel_points_min = 16
 let parallel_evals_min = 32
 
+(* ------------------------------------------------------------------ *)
+(* Request-level result cache (DESIGN §12)                             *)
+(* ------------------------------------------------------------------ *)
+
+type Engine.Cache.value += Attack of attack | Exact_attack of exact_attack
+
+(* A shared [Engine.Cache] holds one entry per attack request, never one
+   per split: on an 11-vertex split path one [Serial.digest] costs
+   8–19 µs (the upper figure with a 64 KB chunk buffer per call) against
+   ~7 µs for the decomposition it would save, and the split graphs of one
+   search recur in another only when the whole instance does.  The key names every
+   setting that changes the answer — the sweep actually run, grid/refine
+   for the grid sweep, the identity count, the solver — then the graph
+   digest; domains and budget stay out (results are bit-identical across
+   domains, and a tripped budget raises before anything is stored). *)
+let request_key ~sweep ~identities ctx g =
+  let knobs =
+    match sweep with
+    | Engine.Grid ->
+        Printf.sprintf "grid:%d:%d" ctx.Engine.Ctx.grid ctx.Engine.Ctx.refine
+    | Engine.Exact -> "exact"
+  in
+  Printf.sprintf "attack:%s:k%d:%s:%s" knobs identities
+    (Engine.solver_name ctx.Engine.Ctx.solver)
+    (Serial.digest g)
+
+(* One lookup for the whole request; the search itself runs on a
+   cache-free context, so no inner decomposition builds a key. *)
+let with_request_cache ~sweep ~identities ~wrap ~unwrap ctx g search =
+  match ctx.Engine.Ctx.cache with
+  | None -> search ctx
+  | Some cache -> (
+      let key = request_key ~sweep ~identities ctx g in
+      match Option.bind (Engine.Cache.find cache key) unwrap with
+      | Some r -> r
+      | None ->
+          let r = search (Engine.Ctx.without_cache ctx) in
+          Engine.Cache.store cache key (wrap r);
+          r)
+
+(* Split searches and the checkpointed scan run cache-free whoever
+   calls them (see [with_request_cache]). *)
+let cache_free_ctx ctx = Engine.Ctx.without_cache (Engine.Ctx.arm ctx)
+
 let best_split_grid ?ctx ?budget ?honest g ~v =
-  let ctx = Engine.Ctx.arm (with_budget_arg budget (Engine.Ctx.get ctx)) in
+  let ctx = cache_free_ctx (with_budget_arg budget (Engine.Ctx.get ctx)) in
   let { Engine.Ctx.grid; refine; domains; _ } = ctx in
   if grid < 2 then invalid_arg "Incentive.best_split: grid too small";
   Obs.Span.with_ "best_split" @@ fun () ->
@@ -185,14 +229,7 @@ let poly_eval_qx p x =
 let witness_denom = 1 lsl 40
 
 let best_split_exact ?ctx ?budget ?honest g ~v =
-  let ctx = Engine.Ctx.arm (with_budget_arg budget (Engine.Ctx.get ctx)) in
-  (* a local decomposition cache when the caller shares none: the piece
-     walk revisits boundary splits (samples plus point probes) *)
-  let ctx =
-    match ctx.Engine.Ctx.cache with
-    | Some _ -> ctx
-    | None -> Engine.Ctx.with_cache (Engine.Cache.create ~capacity:128 ()) ctx
-  in
+  let ctx = cache_free_ctx (with_budget_arg budget (Engine.Ctx.get ctx)) in
   Obs.Span.with_ "best_split_exact" @@ fun () ->
   Obs.Counter.incr c_exact_calls;
   let budget = Engine.Ctx.budget_or_unlimited ctx in
@@ -366,6 +403,11 @@ let best_attack_exact ?ctx ?budget g =
   let ctx = Engine.Ctx.arm (with_budget_arg budget (Engine.Ctx.get ctx)) in
   Obs.Span.with_ "best_attack_exact" @@ fun () ->
   Obs.Counter.incr c_attack_calls;
+  with_request_cache ~sweep:Engine.Exact ~identities:2
+    ~wrap:(fun e -> Exact_attack e)
+    ~unwrap:(function Exact_attack e -> Some e | _ -> None)
+    ctx g
+  @@ fun ctx ->
   (* shared honest decomposition, exactly as in the grid search *)
   let d = Decompose.compute ~ctx:(Engine.Ctx.without_budget ctx) g in
   Obs.Counter.add c_honest_shared (Graph.n g);
@@ -390,6 +432,11 @@ let best_attack_grid ?ctx ?budget g =
   let ctx = Engine.Ctx.arm (with_budget_arg budget (Engine.Ctx.get ctx)) in
   Obs.Span.with_ "best_attack" @@ fun () ->
   Obs.Counter.incr c_attack_calls;
+  with_request_cache ~sweep:Engine.Grid ~identities:2
+    ~wrap:(fun a -> Attack a)
+    ~unwrap:(function Attack a -> Some a | _ -> None)
+    ctx g
+  @@ fun ctx ->
   (* the honest utilities of all vertices come from one decomposition of
      the unmodified ring; computing it once here instead of once per
      vertex inside best_split saves n-1 full decompositions *)
@@ -397,7 +444,7 @@ let best_attack_grid ?ctx ?budget g =
   Obs.Counter.add c_honest_shared (Graph.n g);
   (* parallelism lives at the vertex level: each best_split runs
      sequentially on its worker domain (nested fan-out would
-     oversubscribe), while the context's cache is shared by all *)
+     oversubscribe) *)
   let split_ctx = Engine.Ctx.with_domains 1 ctx in
   let fanout =
     if (ctx.Engine.Ctx.grid + 1) * (ctx.Engine.Ctx.refine + 1)
@@ -475,6 +522,8 @@ let c_kway_lookups =
 let c_kway_hits = Obs.Counter.make ~subsystem:"incentive" "kway_memo_hits"
 let c_kway_misses = Obs.Counter.make ~subsystem:"incentive" "kway_memo_misses"
 
+type Engine.Cache.value += Kattack of kattack
+
 let kattack_of_attack g (a : attack) =
   let w = Graph.weight g a.v in
   {
@@ -539,7 +588,7 @@ let kway_evaluator ~ctx ~budget g ~v =
    the best vector — the direct generalisation of [best_split_grid]'s
    per-coordinate grid-with-zoom. *)
 let best_splitk_grid ~ctx ?honest g ~v =
-  let ctx = Engine.Ctx.arm ctx in
+  let ctx = cache_free_ctx ctx in
   let k = ctx.Engine.Ctx.identities in
   let { Engine.Ctx.grid; refine; _ } = ctx in
   if grid < 2 then invalid_arg "Incentive.best_splitk: grid too small";
@@ -687,12 +736,7 @@ let kway_max_rounds = 64
    reported value is an exactly-evaluated mechanism value, never a
    closed-form extrapolation). *)
 let best_splitk_exact ~ctx ?honest g ~v =
-  let ctx = Engine.Ctx.arm ctx in
-  let ctx =
-    match ctx.Engine.Ctx.cache with
-    | Some _ -> ctx
-    | None -> Engine.Ctx.with_cache (Engine.Cache.create ~capacity:128 ()) ctx
-  in
+  let ctx = cache_free_ctx ctx in
   let k = ctx.Engine.Ctx.identities in
   Obs.Span.with_ "best_splitk_exact" @@ fun () ->
   let budget = Engine.Ctx.budget_or_unlimited ctx in
@@ -872,6 +916,12 @@ let best_attack_k ?ctx ?budget g =
   else begin
     Obs.Span.with_ "best_attack_k" @@ fun () ->
     Obs.Counter.incr c_attack_calls;
+    with_request_cache ~sweep:ctx.Engine.Ctx.sweep
+      ~identities:ctx.Engine.Ctx.identities
+      ~wrap:(fun a -> Kattack a)
+      ~unwrap:(function Kattack a -> Some a | _ -> None)
+      ctx g
+    @@ fun ctx ->
     (* shared honest decomposition, exactly as in the 2-split searches *)
     let d = Decompose.compute ~ctx:(Engine.Ctx.without_budget ctx) g in
     Obs.Counter.add c_honest_shared (Graph.n g);
@@ -998,7 +1048,8 @@ let ckpt_kind = "best-attack"
 
 let best_attack_within ?ctx ?budget ?checkpoint ?(resume = false) g =
   if Graph.n g = 0 then invalid_arg "Incentive.best_attack: empty graph";
-  let ctx = Engine.Ctx.arm (with_budget_arg budget (Engine.Ctx.get ctx)) in
+  (* a checkpointed scan is no single request: it runs cache-free *)
+  let ctx = cache_free_ctx (with_budget_arg budget (Engine.Ctx.get ctx)) in
   let budget = Engine.Ctx.budget_or_unlimited ctx in
   let total = Graph.n g in
   let sweep = ctx.Engine.Ctx.sweep in

@@ -46,9 +46,10 @@ val best_split :
     points, and each zoom window re-visits its centre) and memoised in a
     per-search cache keyed by [w1], so each distinct split is decomposed —
     and budget-ticked, proportionally to the graph size — exactly once
-    per search.  That memo lives for one [best_split] call; giving the
-    context an {!Engine.Cache} additionally shares the decompositions
-    themselves across searches.
+    per search.  That memo lives for one [best_split] call.  Split
+    searches run cache-free: a context's {!Engine.Cache} is dropped
+    here, because keying each split graph costs more than decomposing
+    it; the attack entry points below cache whole results instead.
 
     [ctx.domains > 1] evaluates the fresh points of each sweep round in
     parallel over that many OCaml 5 domains; the result is identical to
@@ -74,8 +75,7 @@ val best_split_exact :
 
     Budget is ticked per sampled piece and per mechanism evaluation (the
     work is proportional to the number of events, not to a resolution);
-    when the context has no {!Engine.Cache} a request-local one is used
-    so the piece walk's repeated decompositions are shared.  Counters
+    like {!best_split} it runs cache-free.  Counters
     (subsystem ["incentive"]): [exact_sweep_calls], [exact_pieces],
     [exact_events], [exact_criticals], [exact_evals]. *)
 
@@ -89,6 +89,11 @@ val best_attack :
     of the unmodified ring is computed once and shared by every
     per-vertex search.
 
+    With a context {!Engine.Cache} the whole result is one cache entry,
+    keyed by the sweep, grid/refine, identity count and solver name
+    followed by {!Serial.digest} of the graph; the search itself runs
+    cache-free.
+
     With [ctx.sweep = Exact] this delegates to {!best_attack_exact} and
     returns its rational witness. *)
 
@@ -96,8 +101,9 @@ val best_attack_exact :
   ?ctx:Engine.Ctx.t -> ?budget:Budget.t -> Graph.t -> exact_attack
 (** [ζ] exactly: {!best_split_exact} over all vertices, the winner
     selected by [ratio_exact] (first vertex of a tie wins).  Shares the
-    honest decomposition and fans per-vertex searches over
-    [ctx.domains], exactly like the grid {!best_attack}. *)
+    honest decomposition, fans per-vertex searches over
+    [ctx.domains] and uses a context {!Engine.Cache} once per request,
+    exactly like the grid {!best_attack}. *)
 
 (** {1 k-identity split vectors}
 
@@ -142,7 +148,8 @@ val best_attack_k :
   ?ctx:Engine.Ctx.t -> ?budget:Budget.t -> Graph.t -> kattack
 (** Best {!best_splitk} over all vertices (first vertex of a ratio tie
     wins), sharing the honest decomposition and fanning per-vertex
-    searches over [ctx.domains] exactly like {!best_attack}.  At
+    searches over [ctx.domains] and using a context {!Engine.Cache}
+    once per request exactly like {!best_attack}.  At
     [ctx.identities = 2] this delegates to {!best_attack} and wraps the
     result. *)
 
@@ -186,7 +193,8 @@ val best_attack_within :
     [ctx.domains > 1] parallelises each vertex's sweep {e inside}
     {!best_split} (bit-identical to the sequential sweep), so the
     checkpoint stream — one snapshot per vertex, in order — is unchanged
-    by parallelism. *)
+    by parallelism.  The scan is not one request, so it ignores a
+    context {!Engine.Cache}. *)
 
 val ratio_of_attack : attack -> float
 (** Convenience float view. *)

@@ -59,10 +59,14 @@ module Cache : sig
   (** A bounded, mutex-sharded key/value cache shared across searches.
 
       Keys are canonical digests (the decomposition layer keys by
-      resolved solver name plus a digest of the serialised graph).
+      resolved solver name plus a digest of the serialised graph; the
+      attack search keys one whole result per request by the settings
+      that change its answer plus that digest, and runs its inner
+      decompositions cache-free).
       Values go through the extensible type {!value} so layers above the
       engine can store their own result types: the decomposition layer
-      declares [type Engine.Cache.value += Decomposition of Decompose.t].
+      declares [type Engine.Cache.value += Decomposition of Decompose.t],
+      and the attack search adds one constructor per result type.
 
       Domain-safety: each shard carries its own mutex, so concurrent
       [find]/[store] from {!Parwork} workers are safe.  Eviction is
@@ -224,10 +228,9 @@ val run_batch : ?ctx:Ctx.t -> f:(Ctx.t -> 'a -> 'b) -> 'a array -> 'b array
 (** Map [f] over the instances with {!Parwork} on [ctx.domains] domains.
     Each item receives the context with [domains = 1] (parallelism lives
     at the batch level; nested domain fan-out would oversubscribe), and
-    the shared [ctx.cache] — so repeated instances, and repeated
-    decompositions inside one instance, hit the cache across the whole
-    batch.  The first exception any item raises is re-raised after all
-    domains join. *)
+    the shared [ctx.cache] — so a repeated instance hits the cache
+    anywhere in the batch.  The first exception any item raises is
+    re-raised after all domains join. *)
 
 val run_batch_r :
   ?ctx:Ctx.t -> f:(Ctx.t -> 'a -> 'b) -> 'a array ->

@@ -38,9 +38,15 @@ let to_string g =
    stream, folded in bounded chunks (digest-of-chunk-digests) so neither
    the serialisation nor any adjacency materialisation is ever resident —
    a million-vertex ring digests in O(chunk) memory.  Equal serialised
-   content yields equal digests whichever backend carries the graph. *)
+   content yields equal digests whichever backend carries the graph.
+   The chunk buffer starts near the graph's serialised size (a "w" plus
+   an "e" line per vertex of a chain graph), so a small graph does not
+   allocate a 64 KB major-heap block per digest; only the folding
+   boundary, not the buffer's size, decides the digest. *)
+let digest_chunk = 65536
+
 let digest g =
-  let chunk = Buffer.create 65536 in
+  let chunk = Buffer.create (min digest_chunk (64 + (48 * Graph.n g))) in
   let folded = Buffer.create 256 in
   let flush_chunk () =
     if Buffer.length chunk > 0 then begin
@@ -51,7 +57,7 @@ let digest g =
   iter_lines g (fun line ->
       Buffer.add_string chunk line;
       Buffer.add_char chunk '\n';
-      if Buffer.length chunk >= 65536 then flush_chunk ());
+      if Buffer.length chunk >= digest_chunk then flush_chunk ());
   flush_chunk ();
   Digest.to_hex (Digest.string (Buffer.contents folded))
 

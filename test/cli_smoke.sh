@@ -263,6 +263,28 @@ grep -q "at least 2 identities" "$tmpdir/err" || {
   echo "FAIL: --identities 1 error message unhelpful" >&2
   fails=$((fails + 1)); }
 
+# 25. the shared cache holds whole attack results: a batch that lists a
+#     file twice prints identical rows for it, and sybil output is
+#     byte-identical with and without --cache under both sweeps
+"$cli" batch "$tmpdir/a.graph" "$tmpdir/b.graph" "$tmpdir/a.graph" \
+  --grid 6 --refine 1 > "$tmpdir/out" 2> /dev/null
+expect "batch with a repeated file" 0 $?
+nrows=$(grep "a.graph" "$tmpdir/out" | sort -u | wc -l)
+[ "$(grep -c "a.graph" "$tmpdir/out")" -eq 2 ] && [ "$nrows" -eq 1 ] || {
+  echo "FAIL: repeated batch file printed differing rows" >&2
+  cat "$tmpdir/out" >&2; fails=$((fails + 1)); }
+for sweep in grid exact; do
+  "$cli" sybil --ring 7,2,9,4,3 --grid 6 --refine 1 --sweep $sweep \
+    > "$tmpdir/nocache.out" 2> /dev/null
+  expect "sybil --sweep $sweep" 0 $?
+  "$cli" sybil --ring 7,2,9,4,3 --grid 6 --refine 1 --sweep $sweep \
+    --cache 64 > "$tmpdir/cache.out" 2> /dev/null
+  expect "sybil --sweep $sweep --cache 64" 0 $?
+  cmp -s "$tmpdir/nocache.out" "$tmpdir/cache.out" || {
+    echo "FAIL: sybil --sweep $sweep output changes with --cache 64" >&2
+    fails=$((fails + 1)); }
+done
+
 # 10. an unknown --obs-only subsystem is a spec error: exit 4, one line
 "$cli" decompose --fig1 --obs-only bogus > /dev/null 2> "$tmpdir/err"
 expect "unknown --obs-only subsystem" 4 $?

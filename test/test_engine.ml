@@ -213,6 +213,83 @@ let test_warm_cache_best_attack () =
       check_attack "cold = plain" plain cold;
       check_attack "warm = cold" cold warm)
 
+(* The cache holds one entry per attack request: a cold search makes a
+   single lookup and runs every decomposition cache-free (so exactly as
+   many as with no cache at all), the warm repeat is one hit and no
+   work, and an exact search given no cache never touches one. *)
+let obs_delta f =
+  let s0 = Obs.snapshot () in
+  let r = f () in
+  (r, Obs.diff (Obs.snapshot ()) s0)
+
+let grid_ctx = Engine.Ctx.make ~grid:8 ~refine:1 ()
+
+let test_cold_one_lookup () =
+  let g = e2_ring () in
+  with_obs ~metrics:true (fun () ->
+      let plain, d_plain =
+        obs_delta (fun () -> Incentive.best_attack ~ctx:grid_ctx g)
+      in
+      let ctx =
+        Engine.Ctx.with_cache (Engine.Cache.create ~capacity:64 ()) grid_ctx
+      in
+      let cold, d_cold = obs_delta (fun () -> Incentive.best_attack ~ctx g) in
+      Alcotest.(check int) "one lookup" 1
+        (count d_cold "engine" "cache_lookups");
+      Alcotest.(check int) "computes as without a cache"
+        (count d_plain "decomposition" "computes")
+        (count d_cold "decomposition" "computes");
+      check_attack "cold = plain" plain cold)
+
+let test_warm_one_hit () =
+  let g = e2_ring () in
+  with_obs ~metrics:true (fun () ->
+      let ctx =
+        Engine.Ctx.with_cache (Engine.Cache.create ~capacity:64 ()) grid_ctx
+      in
+      let cold = Incentive.best_attack ~ctx g in
+      let warm, d = obs_delta (fun () -> Incentive.best_attack ~ctx g) in
+      Alcotest.(check int) "one lookup" 1 (count d "engine" "cache_lookups");
+      Alcotest.(check int) "one hit" 1 (count d "engine" "cache_hits");
+      Alcotest.(check int) "no computes" 0 (count d "decomposition" "computes");
+      check_attack "warm = cold" cold warm)
+
+let test_exact_no_cache_no_lookups () =
+  let g = e2_ring () in
+  with_obs ~metrics:true (fun () ->
+      let _, d =
+        obs_delta (fun () -> Incentive.best_attack_exact ~ctx:grid_ctx g)
+      in
+      Alcotest.(check int) "no lookups" 0 (count d "engine" "cache_lookups"))
+
+(* Each result type has its own key space: a 2-split grid answer is
+   never served to a 3-identity request on the same graph, and a warm
+   k = 3 request is served whole. *)
+let test_request_keys_by_kind () =
+  let g = Generators.ring_of_ints [| 7; 2; 9; 4; 3 |] in
+  let ctx3 = Engine.Ctx.make ~grid:4 ~refine:1 ~identities:3 () in
+  let plain = Incentive.best_attack_k ~ctx:ctx3 g in
+  with_obs ~metrics:true (fun () ->
+      let ctx =
+        Engine.Ctx.with_cache (Engine.Cache.create ~capacity:64 ()) ctx3
+      in
+      ignore (Incentive.best_attack ~ctx g);
+      let cold = Incentive.best_attack_k ~ctx g in
+      let s = Obs.snapshot () in
+      let warm = Incentive.best_attack_k ~ctx g in
+      let d = Obs.diff (Obs.snapshot ()) s in
+      Alcotest.(check int) "k3 warm: one hit" 1 (count d "engine" "cache_hits");
+      List.iter
+        (fun (msg, (a : Incentive.kattack)) ->
+          Alcotest.(check int) (msg ^ ": vertex") plain.Incentive.v
+            a.Incentive.v;
+          Alcotest.(check bool) (msg ^ ": weights") true
+            (Array.for_all2 Q.equal plain.Incentive.weights
+               a.Incentive.weights);
+          Helpers.check_q (msg ^ ": ratio") plain.Incentive.ratio
+            a.Incentive.ratio)
+        [ ("k3 cold = plain", cold); ("k3 warm = plain", warm) ])
+
 (* ------------------------------------------------------------------ *)
 (* Parallel sweep inside best_attack_within (+ kill/resume)            *)
 (* ------------------------------------------------------------------ *)
@@ -341,6 +418,14 @@ let () =
         [
           Alcotest.test_case "warm best_attack: >=2x fewer computes" `Quick
             test_warm_cache_best_attack;
+          Alcotest.test_case "cold best_attack: one lookup" `Quick
+            test_cold_one_lookup;
+          Alcotest.test_case "warm best_attack: one hit, no computes" `Quick
+            test_warm_one_hit;
+          Alcotest.test_case "exact with no cache: no lookups" `Quick
+            test_exact_no_cache_no_lookups;
+          Alcotest.test_case "request keys separate result kinds" `Quick
+            test_request_keys_by_kind;
         ] );
       ( "parallel sweep",
         [

@@ -82,6 +82,22 @@ let test_streaming_vs_whole () =
   Alcotest.(check string) "digest is backend-independent" (Serial.digest g)
     (Serial.digest (Graph.materialise g))
 
+(* Digests are cache keys, so their bytes are part of the contract:
+   these hex values were recorded before the chunk buffer was sized
+   from the graph.  The large ring serialises past the 64 KB folding
+   boundary, covering the digest-of-chunk-digests path. *)
+let test_digest_pinned () =
+  let small = Generators.ring_of_ints [| 3; 1; 2; 5 |] in
+  let large =
+    Generators.ring_of_ints (Array.init 5000 (fun i -> 1 + ((i * 37) mod 1000)))
+  in
+  Alcotest.(check bool) "large ring spans several chunks" true
+    (String.length (Serial.to_string large) > 65536);
+  Alcotest.(check string) "small ring digest" "4ca95db543df9dfe517838d81931a137"
+    (Serial.digest small);
+  Alcotest.(check string) "large ring digest" "08c8104056122d6fd14884b24ed282e2"
+    (Serial.digest large)
+
 let props =
   [
     Helpers.qtest ~count:60 "roundtrip on random graphs" (Helpers.graph_gen ())
@@ -101,6 +117,7 @@ let () =
           Alcotest.test_case "file io" `Quick test_file_io;
           Alcotest.test_case "streaming vs whole-file" `Quick
             test_streaming_vs_whole;
+          Alcotest.test_case "digest bytes pinned" `Quick test_digest_pinned;
         ] );
       ("properties", props);
     ]
