@@ -142,15 +142,53 @@ let compute ?ctx ?budget g =
 let compute_r ?ctx ?budget g =
   Ringshare_error.capture (fun () -> compute ?ctx ?budget g)
 
-let pair_index d v =
-  let rec go i = function
-    | [] -> raise Not_found
-    | p :: rest ->
-        if Vset.mem v p.b || Vset.mem v p.c then i else go (i + 1) rest
-  in
-  go 0 d
+(* Per-vertex lookups read an index derived from the list: the pairs as
+   an array, and each vertex's pair position ([-1] for a vertex in no
+   pair).  Building it is one O(n) pass; [t] stays a list because
+   callers build and walk it as one.  The index is memoised per domain
+   for the last decomposition looked up, matched by physical identity:
+   a [t] is an immutable list, so the same list always holds the same
+   pairs. *)
+type index = { pairs : pair array; owner : int array }
 
-let pair_of d v = List.nth d (pair_index d v)
+let build_index d =
+  let pairs = Array.of_list d in
+  let top s m = if Vset.is_empty s then m else Int.max m (Vset.max_elt s) in
+  let owner =
+    Array.make (1 + Array.fold_left (fun m p -> top p.b (top p.c m)) (-1) pairs)
+      (-1)
+  in
+  (* Claim from the last pair back, so that a vertex held by two pairs
+     (only a malformed list has one) maps to the first, as a scan would. *)
+  for i = Array.length pairs - 1 downto 0 do
+    let claim v = if v >= 0 then owner.(v) <- i in
+    Vset.iter claim pairs.(i).b;
+    Vset.iter claim pairs.(i).c
+  done;
+  { pairs; owner }
+
+let memo : (t * index) option Domain.DLS.key =
+  Domain.DLS.new_key (fun () -> None)
+
+let index d =
+  match Domain.DLS.get memo with
+  | Some (d', ix) when d' == d -> ix
+  | _ ->
+      let ix = build_index d in
+      Domain.DLS.set memo (Some (d, ix));
+      ix
+
+let position ix v =
+  if v < 0 || v >= Array.length ix.owner || ix.owner.(v) < 0 then
+    raise Not_found
+  else ix.owner.(v)
+
+let pair_index d v = position (index d) v
+
+let pair_of d v =
+  let ix = index d in
+  ix.pairs.(position ix v)
+
 let alpha_of d v = (pair_of d v).alpha
 let in_b d v = Vset.mem v (pair_of d v).b
 let in_c d v = Vset.mem v (pair_of d v).c
@@ -174,31 +212,35 @@ let validate g d =
   let pairs = Array.of_list d in
   let k = Array.length pairs in
   let check_partition () =
-    let all =
-      Array.fold_left
-        (fun acc p -> Vset.union acc (Vset.union p.b p.c))
-        Vset.empty pairs
-    in
-    if not (Vset.equal all (Graph.full_mask g)) then
+    (* One pass recording the first pair that holds each vertex.  A later
+       pair j holding v again overlaps first.(v); the least such (i, j)
+       over all vertices is the lexicographically first overlapping pair,
+       since any overlap (i, j) through v has first.(v) <= i and, when
+       equal, v's second holder <= j. *)
+    let n = Graph.n g in
+    let first = Array.make n (-1) in
+    let stray = ref false and overlap = ref None in
+    Array.iteri
+      (fun j p ->
+        let claim v =
+          if v < 0 || v >= n then stray := true
+          else
+            let i = first.(v) in
+            if i < 0 then first.(v) <- j
+            else if i <> j then
+              match !overlap with
+              | Some (i', _) when i' <= i -> ()
+              | _ -> overlap := Some (i, j)
+        in
+        Vset.iter claim p.b;
+        Vset.iter claim p.c)
+      pairs;
+    if !stray || Array.exists (fun i -> i < 0) first then
       err "pairs do not cover the vertex set"
-    else begin
-      let rec disjoint i =
-        if i >= k then Ok ()
-        else
-          let rec inner j =
-            if j >= k then disjoint (i + 1)
-            else if
-              not
-                (Vset.disjoint
-                   (Vset.union pairs.(i).b pairs.(i).c)
-                   (Vset.union pairs.(j).b pairs.(j).c))
-            then err "pairs %d and %d overlap" i j
-            else inner (j + 1)
-          in
-          inner (i + 1)
-      in
-      disjoint 0
-    end
+    else
+      match !overlap with
+      | Some (i, j) -> err "pairs %d and %d overlap" i j
+      | None -> Ok ()
   in
   let check_alphas () =
     let rec go i =

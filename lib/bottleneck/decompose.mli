@@ -50,9 +50,21 @@ val compute_r :
 (** {!compute} behind {!Ringshare_error.capture}: one bad instance in a
     sweep becomes an [Error] value instead of killing the run. *)
 
+(** {2 Per-vertex lookups}
+
+    The lookups below cost O(1) after one O(n) pass per decomposition,
+    which builds an index beside the list: the pairs as an array and
+    each vertex's pair position.  Each domain memoises the index of
+    the last decomposition it looked up, matched by physical identity
+    ([==]); a [t] is immutable, so the same list always has the same
+    pairs.  Looking up in a different decomposition replaces the
+    memoised index, so switching back rebuilds it. *)
+
 val pair_index : t -> int -> int
-(** Index (0-based) of the pair containing the vertex.
-    @raise Not_found if absent (cannot happen for pairs from [compute]). *)
+(** Index (0-based) of the pair containing the vertex; the first such
+    pair if a malformed list holds the vertex twice.
+    @raise Not_found if absent (cannot happen for pairs from [compute]),
+    including for a negative vertex id. *)
 
 val pair_of : t -> int -> pair
 val alpha_of : t -> int -> Rational.t
@@ -80,7 +92,10 @@ val validate : Graph.t -> t -> (unit, string) result
     no B–B edges across pairs; B–C edges only towards earlier-or-equal
     pairs; the [B_i ∪ C_i] partition [V].  Zero-weight vertices may relax
     the positivity of α; the check accepts [α_1 = 0] only if [B_1] has
-    zero-weight neighbourhood. *)
+    zero-weight neighbourhood.  The partition check is one pass over
+    the pairs, and the whole check is O((n + m) log n).  The first
+    failing check decides the message; an overlap names the
+    lexicographically first pair of pair indices [(i, j)], 0-based. *)
 
 val pp : Format.formatter -> t -> unit
 

@@ -285,6 +285,22 @@ for sweep in grid exact; do
     fails=$((fails + 1)); }
 done
 
+# 26. the decompose report is pinned byte for byte: the graph listing,
+#     the pairs, per-vertex class/alpha/utility and the invariants line,
+#     under three weight distributions.  The digests were recorded with
+#     list-scan lookups and the pairwise validate.
+for pin in uniform:00da693abcaf9b6f8f250d71308254aa \
+           powerlaw:45b3fa6ccefdcf52fd56791db01adcd7 \
+           bimodal:60eac9d4e20c29cee1a8762ba828a81a; do
+  dist=${pin%%:*}; digest=${pin#*:}
+  "$cli" decompose -n 400 --seed 1 --dist "$dist" > "$tmpdir/report.out" 2> /dev/null
+  expect "decompose -n 400 --dist $dist" 0 $?
+  got=$(md5sum < "$tmpdir/report.out" | cut -d' ' -f1)
+  [ "$got" = "$digest" ] || {
+    echo "FAIL: decompose --dist $dist report digest $got, expected $digest" >&2
+    fails=$((fails + 1)); }
+done
+
 # 10. an unknown --obs-only subsystem is a spec error: exit 4, one line
 "$cli" decompose --fig1 --obs-only bogus > /dev/null 2> "$tmpdir/err"
 expect "unknown --obs-only subsystem" 4 $?

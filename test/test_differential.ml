@@ -22,6 +22,73 @@ let general_solvers =
   [ ("flow", Decompose.Flow); ("brute", Decompose.Brute);
     ("auto", Decompose.Auto) ]
 
+let pp_result fmt = function
+  | Ok () -> Format.pp_print_string fmt "Ok"
+  | Error m -> Format.fprintf fmt "Error %S" m
+
+let same_result r1 r2 =
+  match (r1, r2) with
+  | Ok (), Ok () -> true
+  | Error m1, Error m2 -> String.equal m1 m2
+  | _ -> false
+
+(* Decompose.validate against the quadratic oracle: the same verdict and,
+   on a violation, the same message. *)
+let check_oracle g d =
+  let fast = Decompose.validate g d
+  and slow = Validate_oracle.validate_quadratic g d in
+  if not (same_result fast slow) then
+    QCheck2.Test.fail_reportf
+      "validate disagrees with the quadratic oracle on@.%a@.%a@.validate: \
+       %a@.oracle: %a"
+      Graph.pp g Decompose.pp d pp_result fast pp_result slow
+
+(* The list scan the indexed lookups replaced, kept as their reference. *)
+let scan_index (d : Decompose.t) v =
+  let rec go i = function
+    | [] -> None
+    | (p : Decompose.pair) :: rest ->
+        if Vset.mem v p.b || Vset.mem v p.c then Some i else go (i + 1) rest
+  in
+  go 0 d
+
+let lookup_or_none f = try Some (f ()) with Not_found -> None
+
+let opt_eq eq a b =
+  match (a, b) with
+  | None, None -> true
+  | Some x, Some y -> eq x y
+  | _ -> false
+
+(* Every lookup for every v in [-1, n] equals the scan's answer; a vertex
+   in no pair (here v = -1 and v = n) raises Not_found from all five. *)
+let lookups_agree g (d : Decompose.t) =
+  let n = Graph.n g in
+  let rec go v =
+    v > n
+    ||
+    let want = scan_index d v in
+    let pair = Option.map (List.nth d) want in
+    opt_eq Int.equal want (lookup_or_none (fun () -> Decompose.pair_index d v))
+    && opt_eq ( == ) pair (lookup_or_none (fun () -> Decompose.pair_of d v))
+    && opt_eq Rational.equal
+         (Option.map (fun (p : Decompose.pair) -> p.alpha) pair)
+         (lookup_or_none (fun () -> Decompose.alpha_of d v))
+    && opt_eq Bool.equal
+         (Option.map (fun (p : Decompose.pair) -> Vset.mem v p.b) pair)
+         (lookup_or_none (fun () -> Decompose.in_b d v))
+    && opt_eq Bool.equal
+         (Option.map (fun (p : Decompose.pair) -> Vset.mem v p.c) pair)
+         (lookup_or_none (fun () -> Decompose.in_c d v))
+    && go (v + 1)
+  in
+  go (-1)
+
+let check_lookups g d =
+  if not (lookups_agree g d) then
+    QCheck2.Test.fail_reportf "indexed lookups disagree with a list scan on@.%a@.%a"
+      Graph.pp g Decompose.pp d
+
 let check_all ~solvers g =
   let ref_name, ref_solver = List.hd solvers in
   let d0 = Decompose.compute ~ctx:(Engine.Ctx.make ~solver:ref_solver ()) g in
@@ -40,6 +107,8 @@ let check_all ~solvers g =
       QCheck2.Test.fail_reportf
         "decomposition violates Proposition 3 on@.%a@.%a@.error: %s" Graph.pp
         g Decompose.pp d0 m);
+  check_oracle g d0;
+  check_lookups g d0;
   let cert = Certificate.build g d0 in
   (match Certificate.verify g d0 cert with
   | Ok () -> ()
@@ -48,6 +117,322 @@ let check_all ~solvers g =
         "certificate rejected on@.%a@.%a@.error: %s" Graph.pp g Decompose.pp
         d0 m);
   true
+
+(* ------------------------------------------------------------------ *)
+(* validate's error branches: seeded mutations against the oracle       *)
+(* ------------------------------------------------------------------ *)
+
+let union (p : Decompose.pair) = Vset.union p.b p.c
+
+(* Every mutation of [d] the battery applies, tagged with its kind.  Each
+   breaks one invariant of a valid decomposition, though a mutation may
+   trip an earlier check first; the oracle decides which message is due. *)
+let mutations ~rng g (d : Decompose.t) =
+  let n = Graph.n g in
+  let pairs = Array.of_list d in
+  let k = Array.length pairs in
+  let with_pair i p =
+    let a = Array.copy pairs in
+    a.(i) <- p;
+    Array.to_list a
+  in
+  let add_to i v =
+    let p = pairs.(i) in
+    if i mod 2 = 0 then { p with b = Vset.add v p.b }
+    else { p with c = Vset.add v p.c }
+  in
+  let idx = List.init k Fun.id in
+  let drops =
+    List.map
+      (fun i ->
+        let p = pairs.(i) in
+        let v = Vset.min_elt (union p) in
+        ( "drop a vertex",
+          with_pair i { p with b = Vset.remove v p.b; c = Vset.remove v p.c } ))
+      idx
+  in
+  let copies =
+    List.concat_map
+      (fun i ->
+        let v = Vset.max_elt (union pairs.(i)) in
+        List.filter_map
+          (fun j ->
+            if j = i then None
+            else
+              Some
+                ( (if j < i then "copy into an earlier pair"
+                   else "copy into a later pair"),
+                  with_pair j (add_to j v) ))
+          idx)
+      idx
+  in
+  (* two copies at once: the reported overlap must be the
+     lexicographically first pair of pair indices *)
+  let double_copies =
+    if k < 3 then []
+    else
+      List.init 8 (fun _ ->
+          let pick () = Random.State.int rng k in
+          let i1 = pick () and j1 = pick () and i2 = pick () and j2 = pick () in
+          let a = Array.copy pairs in
+          let copy i j =
+            if i <> j then begin
+              let v = Vset.min_elt (union pairs.(i)) in
+              a.(j) <- { (a.(j)) with c = Vset.add v a.(j).c }
+            end
+          in
+          copy i1 j1;
+          copy i2 j2;
+          ("two copies", Array.to_list a))
+  in
+  let strays =
+    List.concat_map
+      (fun i ->
+        let p = pairs.(i) in
+        [
+          ("out-of-range id n", with_pair i { p with c = Vset.add n p.c });
+          ("out-of-range id -1", with_pair i { p with b = Vset.add (-1) p.b });
+        ])
+      idx
+  in
+  let swaps =
+    List.filter_map
+      (fun i ->
+        if i + 1 >= k then None
+        else
+          let a = Array.copy pairs in
+          a.(i) <- pairs.(i + 1);
+          a.(i + 1) <- pairs.(i);
+          Some ("swap adjacent pairs", Array.to_list a))
+      idx
+  in
+  let merges =
+    List.filter_map
+      (fun i ->
+        if i + 1 >= k then None
+        else
+          let p = pairs.(i) and q = pairs.(i + 1) in
+          let merged =
+            { Decompose.b = Vset.union p.b q.b; c = Vset.union p.c q.c;
+              alpha = q.alpha }
+          in
+          Some
+            ( "merge two pairs",
+              List.filteri (fun j _ -> j <> i + 1) (with_pair i merged) ))
+      idx
+  in
+  let unit_moves =
+    if k < 2 || not (Rational.equal pairs.(k - 1).alpha Rational.one) then []
+    else
+      List.init (k - 1) (fun pos ->
+          let rest = List.filteri (fun j _ -> j < k - 1) d in
+          ( "alpha = 1 pair before the end",
+            List.filteri (fun j _ -> j < pos) rest
+            @ (pairs.(k - 1) :: List.filteri (fun j _ -> j >= pos) rest) ))
+  in
+  let bc_swaps =
+    List.map
+      (fun i ->
+        let p = pairs.(i) in
+        ("swap B and C", with_pair i { p with b = p.c; c = p.b }))
+      idx
+  in
+  (* move a neighbour u of some v in B_i into B_i, out of whichever pair
+     held it: the partition survives, B_i's independence does not *)
+  let dependents =
+    List.filter_map
+      (fun i ->
+        let p = pairs.(i) in
+        let edge =
+          Vset.fold
+            (fun v acc ->
+              match acc with
+              | Some _ -> acc
+              | None -> Array.find_opt (fun _ -> true) (Graph.neighbors g v))
+            p.b None
+        in
+        Option.map
+          (fun u ->
+            let a =
+              Array.map
+                (fun (q : Decompose.pair) ->
+                  { q with b = Vset.remove u q.b; c = Vset.remove u q.c })
+                pairs
+            in
+            a.(i) <- { (a.(i)) with b = Vset.add u a.(i).b };
+            ("B_i not independent", Array.to_list a))
+          edge)
+      idx
+  in
+  (* two more, for the two messages no mutation above reaches first *)
+  let meets =
+    List.filter_map
+      (fun i ->
+        let p = pairs.(i) in
+        if Vset.is_empty p.c then None
+        else
+          Some
+            ( "B_i meets C_i",
+              with_pair i { p with b = Vset.add (Vset.min_elt p.c) p.b } ))
+      idx
+  in
+  let above_one =
+    ( "alpha above 1",
+      with_pair (k - 1)
+        { (pairs.(k - 1)) with alpha = Rational.of_int 2 } )
+  in
+  List.concat
+    [ drops; copies; double_copies; strays; swaps; merges; unit_moves;
+      bc_swaps; dependents; meets; [ above_one ] ]
+
+let mutation_instances =
+  let dists =
+    [ Weights.Uniform (1, 100); Weights.Powerlaw (100, 1.5);
+      Weights.Bimodal (1, 50, 0.3) ]
+  in
+  List.concat_map
+    (fun seed ->
+      List.concat_map
+        (fun n ->
+          List.concat_map
+            (fun dist ->
+              [ Instances.ring ~seed ~n dist; Instances.path ~seed ~n dist ])
+            dists)
+        [ 5; 9; 16; 40 ])
+    [ 1; 2; 3 ]
+  (* equal weights end in an alpha = 1 pair after an alpha < 1 one *)
+  @ [ Generators.path_of_ints [| 1; 9; 1; 2; 2; 2; 2 |];
+      Generators.ring_of_ints [| 5; 1; 5; 3; 3; 3; 3; 3 |] ]
+
+let test_mutation_battery () =
+  let rng = Random.State.make [| 2024 |] in
+  let tried = Hashtbl.create 16 and failed = Hashtbl.create 16 in
+  let messages = Hashtbl.create 16 in
+  List.iter
+    (fun g ->
+      let d = Decompose.compute g in
+      check_oracle g d;
+      List.iter
+        (fun (kind, d') ->
+          Hashtbl.replace tried kind ();
+          let fast = Decompose.validate g d'
+          and slow = Validate_oracle.validate_quadratic g d' in
+          if not (same_result fast slow) then
+            Alcotest.failf "%s: validate %a, oracle %a on@.%a@.%a" kind
+              pp_result fast pp_result slow Graph.pp g Decompose.pp d';
+          match fast with
+          | Ok () -> ()
+          | Error m ->
+              Hashtbl.replace failed kind ();
+              (* the message with each number replaced by '#' *)
+              let family = Buffer.create 48 in
+              String.iteri
+                (fun i c ->
+                  let digit c = c >= '0' && c <= '9' in
+                  if not (digit c) then Buffer.add_char family c
+                  else if i = 0 || not (digit m.[i - 1]) then
+                    Buffer.add_char family '#')
+                m;
+              let family = Buffer.contents family in
+              Hashtbl.replace messages family ())
+        (mutations ~rng g d))
+    mutation_instances;
+  List.iter
+    (fun kind ->
+      Alcotest.(check bool) (kind ^ " applied") true (Hashtbl.mem tried kind);
+      Alcotest.(check bool) (kind ^ " rejected") true (Hashtbl.mem failed kind))
+    [ "drop a vertex"; "copy into an earlier pair"; "copy into a later pair";
+      "two copies"; "out-of-range id n"; "out-of-range id -1";
+      "swap adjacent pairs"; "merge two pairs"; "alpha = 1 pair before the end";
+      "swap B and C"; "B_i not independent"; "B_i meets C_i";
+      "alpha above 1" ];
+  let seen =
+    List.sort String.compare (Hashtbl.fold (fun m () acc -> m :: acc) messages [])
+  in
+  (* every Error branch of validate, each reached by some mutation *)
+  Alcotest.(check (list string)) "error messages reached"
+    [ "B_# and C_# intersect with alpha < #"; "B_# is not independent";
+      "alpha_# = # but B_# <> C_#"; "alpha_# = # but pair is not last";
+      "alpha_# > #"; "alpha_# >= alpha_#"; "edge between B_# and B_#";
+      "edge between B_# and C_#"; "pairs # and # overlap";
+      "pairs do not cover the vertex set" ]
+    seen
+
+(* ------------------------------------------------------------------ *)
+(* Lookups through the per-domain index memo                           *)
+(* ------------------------------------------------------------------ *)
+
+let lookup_instances =
+  List.map
+    (fun seed -> Instances.ring ~seed ~n:40 (Weights.Uniform (1, 100)))
+    [ 11; 12; 13 ]
+
+(* Three decompositions looked up in turn, so every switch replaces the
+   memoised index and every return rebuilds it; a decomposition equal to
+   the memoised one but physically distinct must get the same answers. *)
+let test_lookup_switching () =
+  let gs = Array.of_list lookup_instances in
+  let ds = Array.map (fun g -> Decompose.compute g) gs in
+  for round = 1 to 4 do
+    Array.iteri
+      (fun i g ->
+        Alcotest.(check bool)
+          (Printf.sprintf "round %d, decomposition %d" round i)
+          true
+          (lookups_agree g ds.(i)))
+      gs
+  done;
+  (* per vertex: d0, then d1 replaces it, d0 is rebuilt, d0 again hits,
+     and d2 and d1 replace each in turn *)
+  let n = Graph.n gs.(0) in
+  for v = 0 to n - 1 do
+    List.iter
+      (fun i ->
+        Alcotest.(check (option int))
+          (Printf.sprintf "pair_index d%d %d" i v)
+          (scan_index ds.(i) v)
+          (lookup_or_none (fun () -> Decompose.pair_index ds.(i) v)))
+      [ 0; 1; 0; 0; 2; 1 ]
+  done;
+  let copy = List.map Fun.id ds.(0) in
+  Alcotest.(check bool) "a rebuilt copy" true (lookups_agree gs.(0) copy)
+
+let test_lookup_not_found () =
+  List.iter
+    (fun g ->
+      let d = Decompose.compute g in
+      let n = Graph.n g in
+      List.iter
+        (fun v ->
+          Alcotest.check_raises (Printf.sprintf "pair_index %d" v) Not_found
+            (fun () -> ignore (Decompose.pair_index d v));
+          Alcotest.check_raises (Printf.sprintf "alpha_of %d" v) Not_found
+            (fun () -> ignore (Decompose.alpha_of d v)))
+        [ -1; n; n + 1; max_int; min_int ])
+    lookup_instances
+
+(* Two domains looking up at once through Parwork.map: each has its own
+   memo, and every answer still equals the scan's. *)
+let test_lookup_domains () =
+  let items =
+    Array.of_list
+      (List.concat_map
+         (fun g -> [ (g, Decompose.compute g); (g, Decompose.compute g) ])
+         lookup_instances)
+  in
+  let agree =
+    Parwork.map ~domains:2
+      (fun (g, d) ->
+        let ok = ref true in
+        for _ = 1 to 3 do
+          Array.iter (fun (g', d') -> ok := !ok && lookups_agree g' d') items;
+          ok := !ok && lookups_agree g d
+        done;
+        !ok)
+      items
+  in
+  Alcotest.(check (array bool)) "all domains agree"
+    (Array.make (Array.length items) true) agree
 
 (* Large seeded instances: the per-component driver (implicit backend)
    against the same instance with materialised adjacency — the two code
@@ -310,6 +695,20 @@ let () =
             "general graphs: flow = brute = auto + certificate"
             (Helpers.graph_gen ~nmax:7 ())
             (check_all ~solvers:general_solvers);
+        ] );
+      ( "validate oracle",
+        [
+          Alcotest.test_case "seeded mutations match the quadratic oracle"
+            `Quick test_mutation_battery;
+        ] );
+      ( "lookups",
+        [
+          Alcotest.test_case "switching decompositions rebuilds the memo"
+            `Quick test_lookup_switching;
+          Alcotest.test_case "Not_found outside the vertex range" `Quick
+            test_lookup_not_found;
+          Alcotest.test_case "two domains via Parwork.map" `Quick
+            test_lookup_domains;
         ] );
       ( "sweep agreement",
         [
