@@ -198,11 +198,9 @@ let case_retry_passthrough n =
 
 let cases () =
   [
-    case_decompose Decompose.Chain "chain" 8;
     case_decompose Decompose.FastChain "fast-chain" 8;
     case_decompose Decompose.Flow "flow" 8;
     case_decompose Decompose.Brute "brute" 8;
-    case_decompose Decompose.Chain "chain" 32;
     case_decompose Decompose.FastChain "fast-chain" 32;
     case_decompose_fast_budgeted 32;
     case_decompose Decompose.Flow "flow" 32;

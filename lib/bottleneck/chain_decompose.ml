@@ -40,8 +40,8 @@ module Q = Rational
    - weights are scaled once, globally, to integers W_v = D·w_v
      (D = lcm of the denominators, ΣW ≤ 2^29), so per-solve setup is an
      int copy with no Bigint traffic.  When the graph as a whole does
-     not fit, per-component scaling and an exact-rational Chain_fast
-     fallback take over;
+     not fit, per-component scaling and an exact-rational fallback on
+     the Chain_fast DP kernel take over;
    - the DP runs on flat int tables in reusable scratch buffers, and
      minimiser members land in a reusable position buffer instead of a
      per-iteration list (Dinkelbach.solve_poly at ['set = unit]).
@@ -79,14 +79,17 @@ let fp_iter = Failpoint.register "solver.fastchain.iter"
 (* Allocation-lean scaled-integer DP kernel                            *)
 (* ------------------------------------------------------------------ *)
 
-(* Chain_fast's per-component DP carries Q.t option tables and allocates
-   a fresh 4-entry array per position per sweep.  Here the same DP runs
-   on flat int arrays in reusable scratch buffers: with scaled weights
-   W_i and costs carried at scale q·D for the current α = p/q,
-   Γ-charges pay +q·W_i and S-terms −p·W_i.  With ΣW ≤ 2^29 (enforced
-   by the scalers below) and q ≤ ΣW, p ≤ q (α ≤ 1 throughout), every
-   table entry is bounded by 2·q·ΣW ≤ 2^59, comfortably inside 63-bit
-   ints.  Unreachable states carry [sentinel]. *)
+(* The Chain_fast kernel ([Chain_fast.Make]) is generic in its cost
+   algebra and carries boxed option tables.  This is the one copy of its
+   DP specialised by hand, because the decomposition driver is its
+   hottest caller and the compiler does not inline through a functor:
+   the same DP on flat int arrays in reusable scratch buffers.  With
+   scaled weights W_i and costs carried at scale q·D for the current
+   α = p/q, Γ-charges pay +q·W_i and S-terms −p·W_i.  With ΣW ≤ 2^29
+   (enforced by the scalers below) and q ≤ ΣW, p ≤ q (α ≤ 1
+   throughout), every table entry is bounded by 2·q·ΣW ≤ 2^59,
+   comfortably inside 63-bit ints.  Unreachable states carry
+   [sentinel]. *)
 
 (* The backward direction is never materialised: it rolls as a 4-state
    row fused with the position combine, so one oracle call streams the
@@ -136,11 +139,14 @@ let q_neg_one = Q.of_ints (-1) 1
 let q_of_sign m = if m < 0 then q_neg_one else if m > 0 then Q.one else Q.zero
 
 (* The DP states encode (s_i, Γ-charge of v_i already paid from the
-   left), as in Chain_fast.step_forward; the four transitions in the
-   sweeps below are that function's cases at integer scale.  Sweeps roll
-   all four states in locals; the forward sweep stores only the two
-   s = true states per position (the combine never reads the others), so
-   one oracle call streams 2 stored ints per position each way. *)
+   left), as in the Chain_fast kernel; the forward transitions below are
+   its [forward] cases at integer scale.  The backward row differs from
+   the kernel's suffix table: it runs the forward recurrence from the
+   right end, so it includes position i's own terms, which the combine
+   corrects for.  Sweeps roll all four states in locals; the forward
+   sweep stores only the two s = true states per position (the combine
+   never reads the others), so one oracle call streams 2 stored ints per
+   position each way. *)
 
 (* Forced-membership combine at one position: the forward prefix row
    (f2/f3 = the s_i = true states) against the rolling backward suffix
@@ -235,8 +241,8 @@ let oracle_path_int sc k ~p ~q =
 
 (* Cycles: cut between positions k-1 and 0 and condition on the boundary
    memberships (a, b) = (s_0, s_{k-1}), pre-paying the wrap-edge charges
-   in the initial tables — the int-scale mirror of
-   Chain_fast.solve_cycle. *)
+   in the initial tables — the int-scale mirror of the cycle branch of
+   the Chain_fast kernel. *)
 let oracle_cycle_int sc k ~p ~q =
   let w = sc.wi in
   let f = sc.fwd and forced = sc.forced in
@@ -466,7 +472,7 @@ let solve_positive g scaled budget sc ~vertex ~k ~cycle ~warm =
             finish alpha
       end
   | None ->
-      (* Exact-rational fallback on the Chain_fast component DP; members
+      (* Exact-rational fallback on the Chain_fast DP kernel; members
          come back as vertex ids, so Γ runs over a local position
          table — no shared state, safe under Parwork sharding. *)
       Obs.Counter.incr c_q_fallback;
@@ -502,8 +508,7 @@ let solve_positive g scaled budget sc ~vertex ~k ~cycle ~warm =
         Failpoint.hit fp_iter;
         Obs.Counter.incr c_oracle;
         Budget.tick ~cost:(1 + k) budget;
-        if cycle then Chain_fast.solve_cycle g ~alpha verts
-        else Chain_fast.solve_path g ~alpha verts
+        Chain_fast.solve_component g ~alpha ~cycle verts
       in
       let init = if Int.equal k 1 then Q.zero else Q.one in
       let members, alpha =

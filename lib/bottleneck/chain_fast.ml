@@ -1,195 +1,222 @@
 module Q = Rational
 
-(* State encoding, as in Chain_solver: index = 2*s + counted, where s is
-   the vertex's S-membership and counted whether its Γ(S) charge has
-   already been paid (from the side the sweep came from). *)
-
-let state s counted = (2 * if s then 1 else 0) + if counted then 1 else 0
-
-let better cur cand =
-  match cur with
-  | None -> Some cand
-  | Some c -> if Q.compare cand c < 0 then Some cand else cur
-
-(* One forward transition: from the state table at position i-1 to the
-   table at position i. *)
-let step_forward ~alpha ~w_prev ~w_cur prev =
-  let next = Array.make 4 None in
-  Array.iteri
-    (fun st cost_opt ->
-      match cost_opt with
-      | None -> ()
-      | Some cost ->
-          let s_prev = st >= 2 and counted_prev = st land 1 = 1 in
-          List.iter
-            (fun s ->
-              let cost = ref cost in
-              if s && not counted_prev then cost := Q.add !cost w_prev;
-              if s_prev then cost := Q.add !cost w_cur;
-              if s then cost := Q.sub !cost (Q.mul alpha w_cur);
-              next.(state s s_prev) <- better next.(state s s_prev) !cost)
-            [ false; true ])
-    prev;
-  next
-
-(* Sweep a path forward, keeping every intermediate table.  [init] is the
-   table at position 0. *)
-let sweep ~alpha ~w ~init k =
-  let tables = Array.make k [||] in
-  tables.(0) <- init;
-  for i = 1 to k - 1 do
-    tables.(i) <-
-      step_forward ~alpha ~w_prev:(w (i - 1)) ~w_cur:(w i) tables.(i - 1)
-  done;
-  tables
-
-let init_table ~alpha ~w0 ~s0 ~counted0 ~extra =
-  let t = Array.make 4 None in
-  let base = if s0 then Q.sub extra (Q.mul alpha w0) else extra in
-  t.(state s0 counted0) <- Some base;
-  t
-
-let free_init ~alpha ~w0 =
-  let t = Array.make 4 None in
-  t.(state false false) <- Some Q.zero;
-  t.(state true false) <- Some (Q.neg (Q.mul alpha w0));
-  t
-
-(* Combine a forward table and a backward table that meet at a vertex of
-   weight wv: both include the vertex's -alpha*wv*s term; the Γ charge is
-   paid on the left iff cl, on the right iff cr.  [want_s] restricts the
-   S-membership (None = any). *)
-let combine ~alpha ~wv ~want_s fwd bwd =
-  let best = ref None in
-  Array.iteri
-    (fun stf f_opt ->
-      match f_opt with
-      | None -> ()
-      | Some f ->
-          let s = stf >= 2 and cl = stf land 1 = 1 in
-          if match want_s with None -> true | Some b -> b = s then
-            Array.iteri
-              (fun stb b_opt ->
-                match b_opt with
-                | None -> ()
-                | Some b_cost ->
-                    let s' = stb >= 2 and cr = stb land 1 = 1 in
-                    if s = s' then begin
-                      let total = Q.add f b_cost in
-                      let total =
-                        if s then Q.add total (Q.mul alpha wv) else total
-                      in
-                      let total =
-                        if cl && cr then Q.sub total wv else total
-                      in
-                      best := better !best total
-                    end)
-              bwd)
-    fwd;
-  !best
-
-let table_min t =
-  Array.fold_left
-    (fun acc c -> match c with None -> acc | Some c -> better acc c)
-    None t
-
-let get = function
-  | Some x -> x
-  | None -> Ringshare_error.(error (Infeasible_dp "Chain_fast: empty table"))
-
 (* ------------------------------------------------------------------ *)
-(* Path components                                                     *)
+(* Components of the masked subgraph                                   *)
 (* ------------------------------------------------------------------ *)
 
-(* Returns (component minimum, members of the maximal minimiser). *)
-let solve_path g ~alpha verts =
-  let k = Array.length verts in
-  let ws = Array.map (Graph.weight g) verts in
-  let w i = ws.(i) in
-  if k = 1 then begin
-    (* forced s_0 = 1 costs -alpha*w0; the vertex is in the maximal
-       minimiser iff that equals the component minimum. *)
-    let forced = Q.neg (Q.mul alpha (w 0)) in
-    let m = Q.min Q.zero forced in
-    (m, if Q.equal forced m then [ verts.(0) ] else [])
-  end
-  else begin
-    (* forward tables: F.(i) = table after processing 0..i *)
-    let fwd = sweep ~alpha ~w ~init:(free_init ~alpha ~w0:(w 0)) k in
-    (* backward tables: run the same sweep on the reversed path *)
-    let wr i = w (k - 1 - i) in
-    let bwd_r = sweep ~alpha ~w:wr ~init:(free_init ~alpha ~w0:(wr 0)) k in
-    let bwd i = bwd_r.(k - 1 - i) in
-    let comp_min = get (table_min fwd.(k - 1)) in
-    let members = ref [] in
-    for i = 0 to k - 1 do
-      match combine ~alpha ~wv:(w i) ~want_s:(Some true) fwd.(i) (bwd i) with
-      | Some forced_min when Q.equal forced_min comp_min ->
-          members := verts.(i) :: !members
-      | _ -> ()
-    done;
-    (comp_min, !members)
-  end
+let masked_neighbors g mask v =
+  Array.to_list (Graph.neighbors g v) |> List.filter (fun u -> Vset.mem u mask)
+
+let supports g ~mask =
+  Vset.for_all (fun v -> List.length (masked_neighbors g mask v) <= 2) mask
+
+(* A component of the masked subgraph, with its vertices in walk order. *)
+type component = { verts : int array; cycle : bool }
+
+let components g ~mask =
+  let visited = Tables.Itbl.create 16 in
+  let comps = ref [] in
+  Vset.iter
+    (fun v0 ->
+      if not (Tables.Itbl.mem visited v0) then begin
+        (* Collect the component of v0. *)
+        let members = ref [] in
+        let rec collect v =
+          if not (Tables.Itbl.mem visited v) then begin
+            Tables.Itbl.add visited v ();
+            members := v :: !members;
+            List.iter collect (masked_neighbors g mask v)
+          end
+        in
+        collect v0;
+        let members = !members in
+        let degree v = List.length (masked_neighbors g mask v) in
+        let endpoint = List.find_opt (fun v -> degree v <= 1) members in
+        match endpoint with
+        | Some e ->
+            (* Path: walk from the endpoint. *)
+            let rec walk prev cur acc =
+              let acc = cur :: acc in
+              match List.filter (fun u -> u <> prev) (masked_neighbors g mask cur) with
+              | [] -> List.rev acc
+              | [ next ] -> walk cur next acc
+              | _ -> assert false
+            in
+            comps :=
+              { verts = Array.of_list (walk (-1) e []); cycle = false }
+              :: !comps
+        | None ->
+            (* Cycle: walk from any vertex. *)
+            let start = List.hd members in
+            let rec walk prev cur acc =
+              if cur = start && prev <> -1 then List.rev acc
+              else
+                let acc = cur :: acc in
+                match
+                  List.filter (fun u -> u <> prev) (masked_neighbors g mask cur)
+                with
+                | next :: _ -> walk cur next acc
+                | [] -> assert false
+            in
+            comps :=
+              { verts = Array.of_list (walk (-1) start []); cycle = true }
+              :: !comps
+      end)
+    mask;
+  !comps
 
 (* ------------------------------------------------------------------ *)
-(* Cycle components                                                    *)
+(* The path/cycle DP over a cost algebra                               *)
 (* ------------------------------------------------------------------ *)
 
-(* Cut the cycle between positions k-1 and 0 and condition on
-   (a, b) = (s_0, s_{k-1}).  The wrap edges charge v_0 when b and
-   v_{k-1} when a; those charges are folded into the sweep initial
-   tables as pre-paid "counted" flags. *)
-let solve_cycle g ~alpha verts =
-  let k = Array.length verts in
-  let ws = Array.map (Graph.weight g) verts in
-  let w i = ws.(i) in
-  let comp_min = ref None in
-  (* per-position forced minima, accumulated across (a, b) combinations *)
-  let forced = Array.make k None in
-  List.iter
-    (fun a ->
+module type COST = sig
+  type t
+
+  val zero : t
+  val add : t -> t -> t
+  val sub : t -> t -> t
+  val better : t option -> t option -> t option
+end
+
+(* State encoding: index = 2*s + counted, where s is the vertex's
+   S-membership and counted whether its Γ(S) charge has already been
+   paid by its left neighbour (counted_i = s_{i-1}). *)
+let state s counted = (if s then 2 else 0) + if counted then 1 else 0
+
+module Make (C : COST) = struct
+  (* F.(i).(st): best cost of choosing s_0..s_i, ending in state st,
+     with every charge decided by those choices paid.  The transition
+     into position i charges gam(i-1) when s_i picks up an uncounted
+     neighbour, gam(i) when s_{i-1} was selected, and -sch(i) when s_i
+     is selected. *)
+  let forward f ~gam ~sch k =
+    for i = 1 to k - 1 do
+      let prev = f.(i - 1) and row = f.(i) in
+      Array.fill row 0 4 None;
+      for st = 0 to 3 do
+        match prev.(st) with
+        | None -> ()
+        | Some q ->
+            let s_prev = st >= 2 and counted_prev = st land 1 = 1 in
+            let q0 = if s_prev then C.add q (gam i) else q in
+            let st0 = state false s_prev in
+            row.(st0) <- C.better row.(st0) (Some q0);
+            let q1 = if counted_prev then q else C.add q (gam (i - 1)) in
+            let q1 = if s_prev then C.add q1 (gam i) else q1 in
+            let q1 = C.sub q1 (sch i) in
+            let st1 = state true s_prev in
+            row.(st1) <- C.better row.(st1) (Some q1)
+      done
+    done
+
+  (* B.(i).(st): best cost of the transitions into positions i+1..k-1
+     given that position i ends in state st.  The suffix depends on the
+     prefix only through that state, so F.(i).(st) + B.(i).(st) is the
+     best total over the assignments passing through (i, st). *)
+  let backward b ~gam ~sch k =
+    for i = k - 2 downto 0 do
+      let next = b.(i + 1) and row = b.(i) in
+      for st = 0 to 3 do
+        let s_i = st >= 2 and counted_i = st land 1 = 1 in
+        row.(st) <- None;
+        (match next.(state false s_i) with
+        | None -> ()
+        | Some q ->
+            let q = if s_i then C.add q (gam (i + 1)) else q in
+            row.(st) <- C.better row.(st) (Some q));
+        match next.(state true s_i) with
+        | None -> ()
+        | Some q ->
+            let q = if counted_i then q else C.add q (gam i) in
+            let q = if s_i then C.add q (gam (i + 1)) else q in
+            let q = C.sub q (sch (i + 1)) in
+            row.(st) <- C.better row.(st) (Some q)
+      done
+    done
+
+  (* Minimum with s_u forced into S: the two-candidate combine over the
+     Γ-charge flag of u. *)
+  let forced_at f b u =
+    let combine c =
+      match (f.(u).(state true c), b.(u).(state true c)) with
+      | Some x, Some y -> Some (C.add x y)
+      | _ -> None
+    in
+    C.better (combine false) (combine true)
+
+  let get = function
+    | Some x -> x
+    | None -> Ringshare_error.(error (Infeasible_dp "Chain_fast: empty table"))
+
+  let solve ~cycle ~gam ~sch k =
+    let f = Array.make_matrix k 4 None and b = Array.make_matrix k 4 None in
+    if not cycle then begin
+      f.(0).(state false false) <- Some C.zero;
+      f.(0).(state true false) <- Some (C.sub C.zero (sch 0));
+      Array.fill b.(k - 1) 0 4 (Some C.zero);
+      forward f ~gam ~sch k;
+      backward b ~gam ~sch k;
+      (get (Array.fold_left C.better None f.(k - 1)), Array.init k (forced_at f b))
+    end
+    else begin
+      (* Cut between positions k-1 and 0 and condition on
+         (a, bb) = (s_0, s_{k-1}).  The wrap edge charges v_0 when bb,
+         paid up front as v_0's counted flag, and v_{k-1} when a, paid
+         at the end unless s_{k-2} already did. *)
+      let best = ref None and forced = Array.make k None in
       List.iter
-        (fun b ->
-          (* forward sweep with s_0 = a, v_0 pre-charged iff b *)
-          let extra_f = if b then w 0 else Q.zero in
-          let init_f =
-            init_table ~alpha ~w0:(w 0) ~s0:a ~counted0:b ~extra:extra_f
-          in
-          let fwd = sweep ~alpha ~w ~init:init_f k in
-          (* backward sweep (reversed path) with s_{k-1} = b, v_{k-1}
-             pre-charged iff a *)
-          let wr i = w (k - 1 - i) in
-          let extra_b = if a then w (k - 1) else Q.zero in
-          let init_b =
-            init_table ~alpha ~w0:(wr 0) ~s0:b ~counted0:a ~extra:extra_b
-          in
-          let bwd_r = sweep ~alpha ~w:wr ~init:init_b k in
-          let bwd i = bwd_r.(k - 1 - i) in
-          (* this combination's assignments must agree at the boundary
-             positions; combining at any single position yields the total *)
-          for i = 0 to k - 1 do
-            let want_s = if i = 0 then Some a else if i = k - 1 then Some b else None in
-            (match combine ~alpha ~wv:(w i) ~want_s fwd.(i) (bwd i) with
-            | Some c ->
-                if i = 0 then comp_min := better !comp_min c;
-                (* forced membership: s_i = 1 *)
-                let may_force =
-                  match want_s with
-                  | None | Some true -> true
-                  | Some false -> false
-                in
-                if may_force then begin
-                  match
-                    combine ~alpha ~wv:(w i) ~want_s:(Some true) fwd.(i) (bwd i)
-                  with
-                  | Some cf -> forced.(i) <- better forced.(i) cf
-                  | None -> ()
-                end
-            | None -> ())
-          done)
-        [ false; true ])
-    [ false; true ];
-  let m = get !comp_min in
+        (fun a ->
+          List.iter
+            (fun bb ->
+              Array.fill f.(0) 0 4 None;
+              let c0 = if bb then gam 0 else C.zero in
+              f.(0).(state a bb) <- Some (if a then C.sub c0 (sch 0) else c0);
+              for st = 0 to 3 do
+                b.(k - 1).(st) <-
+                  (if (st >= 2) <> bb then None
+                   else if a && st land 1 = 0 then Some (gam (k - 1))
+                   else Some C.zero)
+              done;
+              forward f ~gam ~sch k;
+              backward b ~gam ~sch k;
+              for st = 0 to 3 do
+                match (f.(k - 1).(st), b.(k - 1).(st)) with
+                | Some x, Some y -> best := C.better !best (Some (C.add x y))
+                | _ -> ()
+              done;
+              for u = 0 to k - 1 do
+                forced.(u) <- C.better forced.(u) (forced_at f b u)
+              done)
+            [ false; true ])
+        [ false; true ];
+      (get !best, forced)
+    end
+end
+
+(* ------------------------------------------------------------------ *)
+(* Exact-rational instance and the oracle                              *)
+(* ------------------------------------------------------------------ *)
+
+module Exact = Make (struct
+  type t = Q.t
+
+  let zero = Q.zero
+  let add = Q.add
+  let sub = Q.sub
+
+  let better cur cand =
+    match (cur, cand) with
+    | None, x | x, None -> x
+    | Some c, Some d -> if Q.compare d c < 0 then cand else cur
+end)
+
+let solve_component g ~alpha ~cycle verts =
+  let ws = Array.map (Graph.weight g) verts in
+  let sch = Array.map (Q.mul alpha) ws in
+  let m, forced =
+    Exact.solve ~cycle ~gam:(Array.get ws) ~sch:(Array.get sch)
+      (Array.length verts)
+  in
   let members = ref [] in
   Array.iteri
     (fun i f ->
@@ -199,33 +226,25 @@ let solve_cycle g ~alpha verts =
     forced;
   (m, !members)
 
-(* ------------------------------------------------------------------ *)
-(* Driver                                                              *)
-(* ------------------------------------------------------------------ *)
-
 let c_oracle =
   Obs.Counter.make ~subsystem:"decomposition" "fastchain_oracle_calls"
 
 let fp_iter = Failpoint.register "solver.fastchain.iter"
 
 let h_and_argmax ?(budget = Budget.unlimited) g ~mask ~alpha =
-  if not (Chain_solver.supports g ~mask) then
+  if not (supports g ~mask) then
     invalid_arg "Chain_fast: masked graph has a vertex of degree > 2";
   Obs.Counter.incr c_oracle;
-  let comps = Chain_solver.components g ~mask in
   let h = ref Q.zero in
   let s_max = ref Vset.empty in
   List.iter
-    (fun (comp : Chain_solver.component) ->
+    (fun comp ->
       Failpoint.hit fp_iter;
       Budget.tick ~cost:(1 + Array.length comp.verts) budget;
-      let m, members =
-        if comp.cycle then solve_cycle g ~alpha comp.verts
-        else solve_path g ~alpha comp.verts
-      in
+      let m, members = solve_component g ~alpha ~cycle:comp.cycle comp.verts in
       h := Q.add !h m;
       List.iter (fun v -> s_max := Vset.add v !s_max) members)
-    comps;
+    (components g ~mask);
   (!h, !s_max)
 
 let maximal_bottleneck ?budget g ~mask =

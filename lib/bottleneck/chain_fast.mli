@@ -1,40 +1,85 @@
-(** Linear-time maximal-minimiser oracle for chain graphs.
+(** Maximal-bottleneck solver for chain graphs (max degree ≤ 2).
 
-    {!Chain_solver.h_and_argmax} answers "is vertex [u] in the maximal
-    minimiser?" by re-running the whole DP with [u] forced into [S] —
-    O(n) per vertex, O(n²) per Dinkelbach step.  This module computes the
-    same answers from one forward and one backward sweep: for every
-    position the minimum cost of the prefix and of the suffix is tabulated
-    per boundary state, and the forced-vertex minimum is their O(1)
-    combination.  O(n) per Dinkelbach step in total.
+    Every graph this paper manipulates is a ring, a Sybil path, or an
+    induced subgraph of one — all disjoint unions of paths and cycles.  On
+    such graphs [h(α) = min_S (w(Γ(S)) − α·w(S))] is a 4-state dynamic
+    program per component (state: a vertex's S-membership and whether its
+    Γ-membership has already been charged), and vertex [u] belongs to the
+    maximal minimiser iff forcing [u ∈ S] still achieves the component
+    minimum (minimisers are closed under union).
 
-    Cycles are handled by conditioning on the boundary choices of the cut
-    vertex (4 sweep pairs instead of 1).
+    The DP is written once, over a cost algebra ({!Make}).  One forward
+    table and one suffix table give every forced-vertex minimum as an O(1)
+    combine, so a whole oracle call is O(n).  Cycles condition on the
+    memberships of the two vertices at the cut (4 table pairs instead of
+    1).  The exact-rational oracle below is one instance; the parametric
+    stage replay of [Breakpoints] is another, with costs that are
+    quadratics in the split weight. *)
 
-    Produces bit-identical results to {!Chain_solver} (property-tested);
-    the ablation benchmark quantifies the speedup. *)
+(** {1 Components} *)
 
-val solve_path : Graph.t -> alpha:Rational.t -> int array -> Rational.t * int list
-(** One DP evaluation over a path component given as its vertex sequence:
-    [(h_comp(α), members)] where [members] are the vertex ids of the
-    component's maximal minimiser at [α].  Mask-independent — weights are
-    read straight off the graph — so the per-component decomposition
-    driver ({!Chain_decompose}) reuses it as the exact-rational fallback
-    when weights do not admit a small common denominator. *)
+val supports : Graph.t -> mask:Vset.t -> bool
+(** True iff every masked vertex has in-mask degree ≤ 2. *)
 
-val solve_cycle : Graph.t -> alpha:Rational.t -> int array -> Rational.t * int list
-(** As {!solve_path} for a cycle component ([verts] in ring order,
-    length ≥ 3). *)
+type component = { verts : int array; cycle : bool }
+(** A connected component of the masked subgraph, vertices in walk order
+    (endpoint-to-endpoint for paths, arbitrary starting point for
+    cycles). *)
+
+val components : Graph.t -> mask:Vset.t -> component list
+
+(** {1 The DP kernel} *)
+
+module type COST = sig
+  type t
+
+  val zero : t
+  val add : t -> t -> t
+  val sub : t -> t -> t
+
+  val better : t option -> t option -> t option
+  (** The smaller of two candidates, [None] standing for "unreachable".
+      Keeps the first argument on a tie.  Every comparison the DP makes
+      goes through here, so an instance can record them. *)
+end
+
+module Make (C : COST) : sig
+  val solve :
+    cycle:bool -> gam:(int -> C.t) -> sch:(int -> C.t) -> int ->
+    C.t * C.t option array
+  (** [solve ~cycle ~gam ~sch k] over a component of [k] positions in
+      walk order, where [gam i] is what position [i] costs when it is in
+      Γ(S) and [sch i] what it earns when it is in S.  Returns the
+      component minimum of [Σ_{Γ(S)} gam − Σ_S sch] over all S, the empty
+      set included, and for each position the minimum with that
+      position forced into S.  Needs [k ≥ 1], and [k ≥ 3] for a
+      cycle. *)
+end
+
+(** {1 The exact-rational oracle} *)
+
+val solve_component :
+  Graph.t -> alpha:Rational.t -> cycle:bool -> int array ->
+  Rational.t * int list
+(** One DP evaluation over a component given as its vertex sequence (in
+    ring order when [cycle]): [(h_comp(α), members)] where [members] are
+    the vertex ids of the component's maximal minimiser at [α].
+    Mask-independent — weights are read straight off the graph — so the
+    per-component decomposition driver ({!Chain_decompose}) reuses it as
+    the exact-rational fallback when weights do not admit a small common
+    denominator. *)
 
 val h_and_argmax :
   ?budget:Budget.t -> Graph.t -> mask:Vset.t -> alpha:Rational.t ->
   Rational.t * Vset.t
-(** Drop-in replacement for {!Chain_solver.h_and_argmax}.
+(** [h(α)] and the maximal minimiser of the cost, over the masked induced
+    subgraph.  [budget] is ticked once per component, by its size plus one.
     @raise Invalid_argument if a masked vertex has in-mask degree > 2. *)
 
 val maximal_bottleneck : ?budget:Budget.t -> Graph.t -> mask:Vset.t -> Vset.t
 (** Dinkelbach iteration over this oracle.  [budget] is ticked per
     iteration and per component sweep.
+    @raise Invalid_argument if the mask is empty.
     @raise Budget.Exhausted when the budget trips. *)
 
 val maximal_bottleneck_r :

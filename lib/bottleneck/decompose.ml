@@ -3,7 +3,6 @@ module Q = Rational
 let () = Solvers.init ()
 
 type solver = Engine.solver =
-  | Chain
   | FastChain
   | Flow
   | Brute
@@ -42,7 +41,6 @@ let backend_exn name =
 (* Resolution is counter-free so a cache hit can compute its key
    without recording an auto-routing decision that never ran. *)
 let resolve g = function
-  | Chain -> backend_exn "chain"
   | FastChain -> backend_exn "fast-chain"
   | Flow -> backend_exn "flow"
   | Brute -> backend_exn "brute"

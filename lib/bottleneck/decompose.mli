@@ -7,16 +7,15 @@
     (Proposition 3). *)
 
 type solver = Engine.solver =
-  | Chain
   | FastChain
   | Flow
   | Brute
   | Auto
   | Named of string
       (** Re-export of {!Engine.solver} (so [Decompose.Auto] and
-          [Engine.Auto] are the same constructor).  [Chain] is the
-          quadratic reference DP, [FastChain] the linear forward/backward
-          variant ({!Chain_fast}); [Auto] routes through
+          [Engine.Auto] are the same constructor).  [FastChain] is the
+          linear chain DP ({!Chain_fast}, run per component by
+          {!Chain_decompose}); [Auto] routes through
           {!Engine.Registry.auto_select}, which picks [FastChain] for
           max-degree ≤ 2 graphs and [Flow] otherwise; [Named s] addresses
           any backend registered under [s]. *)

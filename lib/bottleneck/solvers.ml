@@ -1,19 +1,10 @@
-(* The four built-in maximal-bottleneck backends, as first-class
+(* The three built-in maximal-bottleneck backends, as first-class
    [Engine.SOLVER] modules.  [Decompose] forces [init] at module
    initialisation, so the registry is populated before any dispatch;
    external backends can register beside these without touching
    decompose.ml. *)
 
 let budget_of ctx = ctx.Engine.Ctx.budget
-
-module Chain_backend = struct
-  let name = "chain"
-  let rank = 20
-  let handles = Graph.is_chain_graph
-
-  let maximal_bottleneck ~ctx g ~mask =
-    Chain_solver.maximal_bottleneck ?budget:(budget_of ctx) g ~mask
-end
 
 module Fast_chain_backend = struct
   let name = "fast-chain"
@@ -45,7 +36,6 @@ end
 let registered =
   lazy
     (Engine.Registry.register (module Fast_chain_backend);
-     Engine.Registry.register (module Chain_backend);
      Engine.Registry.register (module Flow_backend);
      Engine.Registry.register (module Brute_backend))
 

@@ -113,28 +113,18 @@ let amul (c1, s1) (c2, s2) =
     Q.add (Q.mul_int c1 s2) (Q.mul_int c2 s1),
     Q.mul c1 c2 )
 
-(* Minimum stage cost over one masked path component, with every partial
-   cost carried as a quadratic in x.  This mirrors [Chain_solver.path_min]
-   (state: previous vertex's S-membership and whether its Γ-charge has
-   been paid), except that costs are multiplied through by wb_i so the
+(* The stage solves replayed with every partial cost carried as a
+   quadratic in x: the [Chain_fast] DP kernel instantiated per
+   [exact_candidates] call, its costs multiplied through by wb_i so the
    stage charge −α_i·w_u becomes the polynomial −wc_i·w_u.  Comparisons
    are resolved by exact evaluation at the rational sample [p] (ties keep
-   the earlier branch) and every comparison difference is passed to
-   [record].
-
-   The forced-vertex maximality probes (min cost with s_u = true, for
-   every position u) would cost O(k) DP runs of O(k) steps each; instead
-   a forward table F and a backward table B are built once — F.(i).(st)
-   is the best prefix cost ending in state st = (s_i, counted_i), B.(i).(st)
-   the best suffix cost of transitions i+1..k−1 given that state — and
-   each probe is the O(1) combine  min over c of F.(u).(true,c) + B.(u).(true,c).
-   The suffix cost depends on the prefix only through the state, so the
-   combine equals the restricted DP exactly.
+   the earlier branch) and every comparison difference is recorded.
 
    The DP runs in the scaled parameter y = D·x (D a common denominator
    of the weights, the total and the sample), so every coefficient and
    every evaluation is a [Bigint] — no rational normalisation on the
-   hot path. *)
+   hot path.  Each cost carries its value at the scaled sample beside
+   its coefficients, so a comparison never re-evaluates a polynomial. *)
 module B = Bigint
 
 let bzero3 = (B.zero, B.zero, B.zero)
@@ -161,85 +151,19 @@ let bamul (c1, s1) (c2, s2) =
     B.add (B.mul_int c1 s2) (B.mul_int c2 s1),
     B.mul c1 c2 )
 
-let parametric_stage_mins ~record ~gam ~sch ~py k =
-  let better a b =
-    match (a, b) with
-    | None, x | x, None -> x
-    | Some ((qa, va) as xa), Some ((qb, vb) as xb) ->
-        record (bsub3 qa qb);
-        if B.compare va vb <= 0 then Some xa else Some xb
-  in
-  let cell q = Some (q, beval3 q py) in
-  let state s counted = (if s then 2 else 0) + if counted then 1 else 0 in
-  (* forward: F.(i) after assigning s_0..s_i; counted_i = s_{i-1} *)
-  let f = Array.make_matrix k 4 None in
-  f.(0).(state false false) <- cell bzero3;
-  f.(0).(state true false) <- cell (bneg3 (sch 0));
-  for i = 1 to k - 1 do
-    Array.iteri
-      (fun st cost ->
-        match cost with
-        | None -> ()
-        | Some (q, _) ->
-            let s_prev = st >= 2 and counted_prev = st land 1 = 1 in
-            List.iter
-              (fun s ->
-                let q = ref q in
-                if s && not counted_prev then q := badd3 !q (gam (i - 1));
-                if s_prev then q := badd3 !q (gam i);
-                if s then q := bsub3 !q (sch i);
-                f.(i).(state s s_prev) <-
-                  better f.(i).(state s s_prev) (cell !q))
-              [ false; true ])
-      f.(i - 1)
-  done;
-  (* backward: B.(i).(st) = best cost of transitions i+1..k-1 entering
-     them in state st; the transition into position i+1 charges
-     gam(i) when s_{i+1} picks up an uncounted neighbour, gam(i+1)
-     when s_i was selected, and -sch(i+1) when s_{i+1} is selected. *)
-  let b = Array.make_matrix k 4 None in
-  for st = 0 to 3 do
-    b.(k - 1).(st) <- cell bzero3
-  done;
-  for i = k - 2 downto 0 do
-    for st = 0 to 3 do
-      let s_i = st >= 2 and counted_i = st land 1 = 1 in
-      List.iter
-        (fun s_next ->
-          match b.(i + 1).(state s_next s_i) with
-          | None -> ()
-          | Some (q, _) ->
-              let q = ref q in
-              if s_next && not counted_i then q := badd3 !q (gam i);
-              if s_i then q := badd3 !q (gam (i + 1));
-              if s_next then q := bsub3 !q (sch (i + 1));
-              b.(i).(st) <- better b.(i).(st) (cell !q))
-        [ false; true ]
-    done
-  done;
-  let unforced = Array.fold_left better None f.(k - 1) in
-  let forced u =
-    let combine c =
-      match (f.(u).(state true c), b.(u).(state true c)) with
-      | Some (fq, _), Some (bq, _) -> cell (badd3 fq bq)
-      | _ -> None
-    in
-    better (combine false) (combine true)
-  in
-  (unforced, forced)
-
 (* Sensitivity analysis of one greedy stage.  The stage-i solve finds the
    maximal minimiser of w(Γ(S)) − α_i·w(S) over the masked subgraph — one
    4-state DP plus one forced-vertex probe per position, per component
-   ([Chain_solver]).  While none of the comparison differences those DPs
+   ([Chain_fast]).  While none of the comparison differences those DPs
    resolve changes sign, and none of the per-component minima or
    forced-vs-free gaps (which decide maximal-minimiser membership)
    crosses zero, every stage re-derives exactly the same pair, so the
    decomposition is constant.  The recorded roots are therefore a
    complete superset of the structure's event boundaries: basic shape
    conditions alone would miss a pair splitting when some proper subset's
-   ratio crosses α_i, which only these DP gaps can see. *)
-let stage_dp_candidates ~record ~scale ~py path ~v1 ~v2 ~total ~mask
+   ratio crosses α_i, which only these DP gaps can see.  [solve] is the
+   recording kernel instance. *)
+let stage_dp_candidates ~record ~solve ~scale ~py path ~v1 ~v2 ~total ~mask
     (pair : Decompose.pair) =
   (* scaled affine view: value·D = (const·D) + slope·y with y = D·x;
      [scale q] is the (integer) numerator of q·D *)
@@ -253,28 +177,29 @@ let stage_dp_candidates ~record ~scale ~py path ~v1 ~v2 ~total ~mask
     else if u = v2 then (scale total, -1)
     else (scale (Graph.weight path u), 0)
   in
+  let cost q = (q, beval3 q py) in
   List.iter
-    (fun (comp : Chain_solver.component) ->
+    (fun (comp : Chain_fast.component) ->
       (* split graphs are paths, so masked components cannot be cycles *)
-      assert (not comp.Chain_solver.cycle);
-      let verts = comp.Chain_solver.verts in
+      assert (not comp.Chain_fast.cycle);
+      let verts = comp.Chain_fast.verts in
       let k = Array.length verts in
-      let gam = Array.init k (fun i -> bamul (affv verts.(i)) awb)
-      and sch = Array.init k (fun i -> bamul (affv verts.(i)) awc) in
-      let gam i = gam.(i) and sch i = sch.(i) in
-      let unforced, forced = parametric_stage_mins ~record ~gam ~sch ~py k in
-      match unforced with
-      | None -> assert false
-      | Some (mq, _) ->
-          (* the component minimum crossing zero changes which components
-             achieve the stage ratio *)
-          record mq;
-          for idx = 0 to k - 1 do
-            match forced idx with
-            | None -> ()
-            | Some (fq, _) -> record (bsub3 fq mq)
-          done)
-    (Chain_solver.components path ~mask)
+      let gam = Array.init k (fun i -> cost (bamul (affv verts.(i)) awb))
+      and sch = Array.init k (fun i -> cost (bamul (affv verts.(i)) awc)) in
+      let (mq, _), forced =
+        solve ~cycle:false ~gam:(Array.get gam) ~sch:(Array.get sch) k
+      in
+      (* the component minimum crossing zero changes which components
+         achieve the stage ratio *)
+      record mq;
+      Array.iter
+        (function None -> () | Some (fq, _) -> record (bsub3 fq mq))
+        forced)
+    (Chain_fast.components path ~mask)
+
+(* distinct DP comparison differences recorded per [exact_candidates]
+   call, summed: the stage replay's work, as an exact count *)
+let c_dp_candidates = Obs.Counter.make ~subsystem:"breakpoints" "dp_candidates"
 
 (* Candidate boundary polynomials of a structure's validity interval
    around the rational sample [p]: the decomposition is [structure]
@@ -337,13 +262,28 @@ let exact_candidates path ~v1 ~v2 ~total ~p (structure : Decompose.t) =
       end
     end
   in
+  let module Dp = Chain_fast.Make (struct
+    type t = (B.t * B.t * B.t) * B.t
+
+    let zero = (bzero3, B.zero)
+    let add (q1, v1) (q2, v2) = (badd3 q1 q2, B.add v1 v2)
+    let sub (q1, v1) (q2, v2) = (bsub3 q1 q2, B.sub v1 v2)
+
+    let better a b =
+      match (a, b) with
+      | None, x | x, None -> x
+      | Some (qa, va), Some (qb, vb) ->
+          record (bsub3 qa qb);
+          if B.compare va vb <= 0 then a else b
+  end) in
   let mask = ref (Graph.full_mask path) in
   List.iter
     (fun (pr : Decompose.pair) ->
-      stage_dp_candidates ~record ~scale ~py path ~v1 ~v2 ~total ~mask:!mask
-        pr;
+      stage_dp_candidates ~record ~solve:Dp.solve ~scale ~py path ~v1 ~v2
+        ~total ~mask:!mask pr;
       mask := Vset.diff !mask (Vset.union pr.Decompose.b pr.Decompose.c))
     structure;
+  Obs.Counter.add c_dp_candidates (BTriple.length seen);
   (* back to x-coordinates: q'(y) = A·y² + B·y + C with y = D·x is
      A·D²·x² + B·D·x + C *)
   let d2 = B.mul d d in
@@ -526,11 +466,11 @@ let exact_slice_pieces ?ctx base ~v1 ~v2 ~total =
     invalid_arg "Breakpoints.exact_slice_pieces: max degree > 2";
   if
     List.exists
-      (fun (c : Chain_solver.component) -> c.Chain_solver.cycle)
-      (Chain_solver.components base ~mask:(Graph.full_mask base))
+      (fun (c : Chain_fast.component) -> c.Chain_fast.cycle)
+      (Chain_fast.components base ~mask:(Graph.full_mask base))
   then
-    (* the parametric stage DP is the path DP; a cycle component would
-       need the cycle variant *)
+    (* the stage replay solves every component as a path
+       ([stage_dp_candidates]); the split graphs it serves have none *)
     invalid_arg "Breakpoints.exact_slice_pieces: graph has a cycle component";
   let path_at x =
     Graph.with_weight (Graph.with_weight base v1 x) v2 (Q.sub total x)

@@ -44,8 +44,8 @@ val scan_split :
     their sign: the structure's own shape conditions (pair weights,
     [α_i = 1], adjacent-α crossings) {e plus} the comparison differences
     of the greedy stage solves themselves — each stage's 4-state cost DP
-    and its forced-vertex maximality probes ([Chain_solver]) replayed
-    with costs as quadratics in [w1].  While none of those differences
+    and its forced-vertex maximality probes (the [Chain_fast] DP kernel)
+    replayed with costs as quadratics in [w1].  While none of those differences
     changes sign every stage re-derives the same pair, which makes the
     family complete: shape conditions alone would miss a pair splitting
     when a proper subset's ratio crosses [α_i].  Piece boundaries are

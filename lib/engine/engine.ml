@@ -8,7 +8,7 @@
    through the extensible [Cache.value] type, so no dependency cycle
    forms. *)
 
-type solver = Chain | FastChain | Flow | Brute | Auto | Named of string
+type solver = FastChain | Flow | Brute | Auto | Named of string
 
 type sweep = Grid | Exact
 (* Split-sweep policy for the incentive attack search: [Grid] is the
@@ -287,7 +287,6 @@ module Registry = struct
 end
 
 let solver_name = function
-  | Chain -> "chain"
   | FastChain -> "fast-chain"
   | Flow -> "flow"
   | Brute -> "brute"
@@ -295,7 +294,6 @@ let solver_name = function
   | Named s -> s
 
 let solver_of_name = function
-  | "chain" -> Some Chain
   | "fast-chain" -> Some FastChain
   | "flow" -> Some Flow
   | "brute" -> Some Brute

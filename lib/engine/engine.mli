@@ -16,8 +16,8 @@
     results through the extensible {!Cache.value} type, so no layer above
     is forced into a dependency cycle. *)
 
-type solver = Chain | FastChain | Flow | Brute | Auto | Named of string
-(** Decomposition backend choice.  The four classic constructors name the
+type solver = FastChain | Flow | Brute | Auto | Named of string
+(** Decomposition backend choice.  The three classic constructors name the
     built-in solvers; [Auto] routes through the registry by
     {!Registry.auto_select}; [Named s] addresses any backend registered
     under [s] — new backends become reachable without touching the
@@ -25,11 +25,11 @@ type solver = Chain | FastChain | Flow | Brute | Auto | Named of string
     [Decompose.Auto] and [Engine.Auto] are the same constructor. *)
 
 val solver_name : solver -> string
-(** Canonical registry name: ["chain"], ["fast-chain"], ["flow"],
-    ["brute"], ["auto"], or the [Named] payload. *)
+(** Canonical registry name: ["fast-chain"], ["flow"], ["brute"],
+    ["auto"], or the [Named] payload. *)
 
 val solver_of_name : string -> solver option
-(** Inverse of {!solver_name} for the five canonical names; any other
+(** Inverse of {!solver_name} for the four canonical names; any other
     string maps to [Named] only if a backend of that name is registered
     ([None] otherwise — the CLI turns that into a spec error). *)
 
@@ -195,12 +195,12 @@ module type SOLVER = sig
 
   val rank : int
   (** [Registry.auto_select] priority: among applicable solvers the
-      lowest rank wins (ties break by name).  Built-ins use 10/20/30/40
+      lowest rank wins (ties break by name).  Built-ins use 10/30/40
       so external backends can slot in anywhere. *)
 
   val handles : Graph.t -> bool
-  (** Whether this backend is applicable to the graph (the chain DPs
-      only handle max-degree ≤ 2). *)
+  (** Whether this backend is applicable to the graph (the chain DP
+      only handles max-degree ≤ 2). *)
 
   val maximal_bottleneck : ctx:Ctx.t -> Graph.t -> mask:Vset.t -> Vset.t
   (** The bottleneck oracle: the maximal bottleneck of the subgraph

@@ -1,6 +1,6 @@
 (** Cooperative compute budgets: wall-clock deadlines and step counts.
 
-    The long-running paths (Dinkelbach iterations, the chain DPs, PRD
+    The long-running paths (Dinkelbach iterations, the chain DP, PRD
     dynamics, the attack-search sweeps) accept an optional budget and
     call {!tick} at natural unit-of-work boundaries.  When the budget is
     exhausted the next tick raises {!Exhausted}, which the

@@ -141,11 +141,18 @@ grep -q "batch: 2 instances, 1 failed" "$tmpdir/out" || {
   echo "FAIL: batch failure count wrong" >&2; fails=$((fails + 1)); }
 
 # 14. an unknown --solver is a spec error everywhere: exit 4, names the
-#     known backends
+#     known backends.  "chain" (the retired quadratic chain DP) is one
+#     more unknown name.
 "$cli" decompose --fig1 --solver nope > /dev/null 2> "$tmpdir/err"
 expect "unknown --solver" 4 $?
 grep -q "unknown solver" "$tmpdir/err" && grep -q "fast-chain" "$tmpdir/err" || {
   echo "FAIL: unknown --solver error does not list the backends" >&2
+  cat "$tmpdir/err" >&2; fails=$((fails + 1)); }
+"$cli" decompose --fig1 --solver chain > /dev/null 2> "$tmpdir/err"
+expect "--solver chain" 4 $?
+grep -q 'unknown solver "chain" (known: auto, brute, fast-chain, flow)' \
+  "$tmpdir/err" || {
+  echo "FAIL: --solver chain is not an unknown solver listing the backends" >&2
   cat "$tmpdir/err" >&2; fails=$((fails + 1)); }
 
 # 15. flag parity: every compute subcommand accepts the one shared set of

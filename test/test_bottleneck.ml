@@ -109,10 +109,10 @@ let props =
     Helpers.qtest ~count:120 "flow = brute on random graphs"
       (Helpers.graph_gen ()) (fun g -> agree Decompose.Flow Decompose.Brute g);
     Helpers.qtest ~count:120 "chain = brute on rings" (Helpers.ring_gen ())
-      (fun g -> agree Decompose.Chain Decompose.Brute g);
+      (fun g -> agree Decompose.FastChain Decompose.Brute g);
     Helpers.qtest ~count:120 "chain = flow on paths"
       (Helpers.path_gen ~allow_zero:true ()) (fun g ->
-        agree Decompose.Chain Decompose.Flow g);
+        agree Decompose.FastChain Decompose.Flow g);
     Helpers.qtest ~count:120 "Proposition 3 on rings" (Helpers.ring_gen ())
       (fun g ->
         match Decompose.validate g (Decompose.compute g) with
@@ -149,9 +149,9 @@ let props =
     Helpers.qtest ~count:60 "chain oracle h(alpha*) = 0 at own ratio"
       (Helpers.ring_gen ~nmax:8 ()) (fun g ->
         let mask = Graph.full_mask g in
-        let b = Chain_solver.maximal_bottleneck g ~mask in
+        let b = Chain_fast.maximal_bottleneck g ~mask in
         let alpha = Graph.alpha_of_set g b in
-        let h, smax = Chain_solver.h_and_argmax g ~mask ~alpha in
+        let h, smax = Chain_fast.h_and_argmax g ~mask ~alpha in
         Q.is_zero h && Vset.equal smax b);
     Helpers.qtest ~count:60 "flow oracle h(alpha*) = 0 at own ratio"
       (Helpers.graph_gen ~nmax:7 ()) (fun g ->

@@ -204,6 +204,43 @@ let test_exact_sees_hidden_even_events () =
         = 0)
   | _ -> Alcotest.fail "expected exactly two hidden events")
 
+(* Work pin for the parametric stage DP: over a seeded battery of rings
+   and every splitting vertex, the number of distinct DP comparison
+   differences [exact_candidates] records and the number of pieces
+   [exact_split_pieces] returns.  Both are exact counts, so a change to
+   the DP's transitions or tie-breaking that alters the recorded family
+   fails here without any timing noise. *)
+let test_dp_work_pin () =
+  let families =
+    [|
+      Weights.Uniform (1, 100);
+      Weights.Bimodal (1, 100, 0.3);
+      Weights.Powerlaw (1000, 2.0);
+    |]
+  in
+  Obs.set_metrics true;
+  let before = Obs.snapshot () in
+  let pieces =
+    Fun.protect
+      ~finally:(fun () -> Obs.set_metrics false)
+      (fun () ->
+        let total = ref 0 in
+        for seed = 1 to 30 do
+          let g =
+            Instances.ring ~seed ~n:(6 + (seed mod 7)) families.(seed mod 3)
+          in
+          for v = 0 to Graph.n g - 1 do
+            total :=
+              !total + List.length (Breakpoints.exact_split_pieces g ~v)
+          done
+        done;
+        !total)
+  in
+  let d = Obs.diff (Obs.snapshot ()) before in
+  Alcotest.(check int) "recorded DP candidates" 135_575
+    (Obs.counter_value d ~subsystem:"breakpoints" "dp_candidates");
+  Alcotest.(check int) "pieces" 1_355 pieces
+
 let () =
   Alcotest.run "breakpoints"
     [
@@ -216,6 +253,7 @@ let () =
           Alcotest.test_case "classification total" `Quick test_classify_merge_or_split;
           Alcotest.test_case "exact path sees hidden even events" `Quick
             test_exact_sees_hidden_even_events;
+          Alcotest.test_case "parametric DP work pin" `Quick test_dp_work_pin;
         ] );
       ("properties", continuity_prop :: split_scan_prop :: props);
     ]

@@ -1,5 +1,5 @@
-(* Tests for the linear-time chain solver: exact agreement with the
-   quadratic reference DP on paths, cycles, masks and degenerate
+(* Tests for the linear-time chain solver: exact agreement with an
+   exhaustive subset enumeration on paths, cycles, masks and degenerate
    weights. *)
 
 module Q = Rational
@@ -7,7 +7,7 @@ module Q = Rational
 let q = Q.of_ints
 
 let agree_h g mask alpha =
-  let h1, s1 = Chain_solver.h_and_argmax g ~mask ~alpha in
+  let h1, s1 = Chain_oracle.brute_h_and_argmax g ~mask ~alpha in
   let h2, s2 = Chain_fast.h_and_argmax g ~mask ~alpha in
   Q.equal h1 h2 && Vset.equal s1 s2
 
@@ -64,6 +64,52 @@ let test_rejects_high_degree () =
     (fun () ->
       ignore (Chain_fast.h_and_argmax g ~mask:(Graph.full_mask g) ~alpha:Q.one))
 
+(* Weights a_v / p_v over distinct primes just above 10^6: the common
+   denominator of any two of them exceeds the decomposition driver's
+   2^29 integer scale, so every component of two or more vertices is
+   solved by the exact-rational fallback on the DP kernel (only isolated
+   fragments still scale).  That is the one route by which
+   Decompose.compute reaches the kernel's cycle branch. *)
+let fallback_primes =
+  [| 1000003; 1000033; 1000037; 1000039; 1000081; 1000099; 1000117;
+     1000121; 1000133; 1000151; 1000159; 1000171 |]
+
+let test_rational_fallback () =
+  let rng = Prng.create 2024 in
+  let instances = ref 0 in
+  Obs.set_metrics true;
+  let before = Obs.snapshot () in
+  Fun.protect
+    ~finally:(fun () -> Obs.set_metrics false)
+    (fun () ->
+      for n = 3 to 12 do
+        List.iter
+          (fun ring ->
+            let ws =
+              Array.init n (fun i ->
+                  q (1 + Prng.int rng 1000) fallback_primes.(i))
+            in
+            let g = if ring then Generators.ring ws else Generators.path ws in
+            let dec solver =
+              Decompose.compute ~ctx:(Engine.Ctx.make ~solver ()) g
+            in
+            let fast = dec Decompose.FastChain in
+            incr instances;
+            Alcotest.(check bool)
+              (Printf.sprintf "%s n=%d: fast-chain = flow = brute"
+                 (if ring then "ring" else "path") n)
+              true
+              (Decompose.equal fast (dec Decompose.Flow)
+              && Decompose.equal fast (dec Decompose.Brute)))
+          [ true; false ]
+      done);
+  let d = Obs.diff (Obs.snapshot ()) before in
+  (* at least the first solve of every instance is a whole ring or path *)
+  Alcotest.(check bool) "the rational fallback ran" true
+    (Obs.counter_value d ~subsystem:"decomposition"
+       "chain_driver_q_fallback_solves"
+    >= !instances)
+
 (* Property: exact agreement on random rings/paths, random alphas, random
    masks. *)
 let instance_gen =
@@ -91,12 +137,12 @@ let instance_gen =
 
 let props =
   [
-    Helpers.qtest ~count:400 "h_and_argmax agrees with reference DP"
+    Helpers.qtest ~count:400 "h_and_argmax agrees with exhaustive oracle"
       instance_gen (fun (g, mask, alpha) -> agree_h g mask alpha);
     Helpers.qtest ~count:150 "full decomposition agrees" (Helpers.ring_gen ())
       (fun g ->
         Decompose.equal
-          (Decompose.compute ~ctx:(Engine.Ctx.make ~solver:Decompose.Chain ()) g)
+          (Decompose.compute ~ctx:(Engine.Ctx.make ~solver:Decompose.Brute ()) g)
           (Decompose.compute ~ctx:(Engine.Ctx.make ~solver:Decompose.FastChain ()) g));
   ]
 
@@ -111,6 +157,8 @@ let () =
           Alcotest.test_case "masked ring" `Quick test_masked_ring_becomes_paths;
           Alcotest.test_case "zero weights" `Quick test_zero_weights;
           Alcotest.test_case "degree check" `Quick test_rejects_high_degree;
+          Alcotest.test_case "rational fallback via compute" `Quick
+            test_rational_fallback;
         ] );
       ("properties", props);
     ]

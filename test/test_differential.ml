@@ -1,4 +1,4 @@
-(* Differential battery across the four decomposition solvers.
+(* Differential battery across the decomposition solvers.
 
    Every random instance is decomposed by each applicable solver; the
    decompositions must be *identical* (same pairs, same alphas — not
@@ -9,14 +9,13 @@
 
 let all_solvers =
   [
-    ("chain", Decompose.Chain);
     ("fast-chain", Decompose.FastChain);
     ("flow", Decompose.Flow);
     ("brute", Decompose.Brute);
     ("auto", Decompose.Auto);
   ]
 
-(* The chain DP solvers require max degree <= 2; general graphs get the
+(* The chain DP requires max degree <= 2; general graphs get the
    degree-agnostic subset. *)
 let general_solvers =
   [ ("flow", Decompose.Flow); ("brute", Decompose.Brute);
@@ -684,11 +683,11 @@ let () =
       ( "solver agreement",
         [
           Helpers.qtest ~count:100
-            "rings: chain = fast-chain = flow = brute = auto + certificate"
+            "rings: fast-chain = flow = brute = auto + certificate"
             (Helpers.ring_gen ~nmax:9 ())
             (check_all ~solvers:all_solvers);
           Helpers.qtest ~count:60
-            "paths: chain = fast-chain = flow = brute = auto + certificate"
+            "paths: fast-chain = flow = brute = auto + certificate"
             (Helpers.path_gen ~nmax:9 ())
             (check_all ~solvers:all_solvers);
           Helpers.qtest ~count:60

@@ -139,9 +139,9 @@ let test_registry () =
     (fun n ->
       Alcotest.(check bool) (n ^ " registered") true
         (List.exists (String.equal n) names))
-    [ "brute"; "chain"; "fast-chain"; "flow" ];
-  Alcotest.(check bool) "find chain" true
-    (Engine.Registry.find "chain" <> None);
+    [ "brute"; "fast-chain"; "flow" ];
+  Alcotest.(check bool) "quadratic chain DP retired" true
+    (Engine.Registry.find "chain" = None);
   Alcotest.(check bool) "find unknown" true
     (Engine.Registry.find "simplex" = None);
   (* auto_select reproduces the historical Auto routing: the linear
@@ -166,8 +166,8 @@ let test_solver_names () =
       Alcotest.(check bool) ("roundtrip " ^ n) true
         (Engine.solver_of_name n = Some s))
     [
-      (Engine.Chain, "chain"); (Engine.FastChain, "fast-chain");
-      (Engine.Flow, "flow"); (Engine.Brute, "brute"); (Engine.Auto, "auto");
+      (Engine.FastChain, "fast-chain"); (Engine.Flow, "flow");
+      (Engine.Brute, "brute"); (Engine.Auto, "auto");
     ];
   Alcotest.(check bool) "unregistered name rejected" true
     (Engine.solver_of_name "simplex" = None)
