@@ -18,7 +18,11 @@
      dune exec bench/main.exe -- bench-only benchmarks only
      dune exec bench/main.exe -- smoke      run every benchmark closure
                                             once, no timing, no battery
-                                            (the dune runtest hook) *)
+                                            (the dune runtest hook)
+
+   Only the full run (no argument) writes METRICS_ringshare.json, the
+   committed record of what the whole battery exercised; the reduced
+   modes leave it as it is. *)
 
 open Bechamel
 open Toolkit
@@ -27,6 +31,7 @@ let quick = Array.exists (fun a -> a = "quick") Sys.argv
 let no_bench = Array.exists (fun a -> a = "no-bench") Sys.argv
 let bench_only = Array.exists (fun a -> a = "bench-only") Sys.argv
 let smoke = Array.exists (fun a -> a = "smoke") Sys.argv
+let full_run = not (quick || no_bench || bench_only || smoke)
 
 (* ------------------------------------------------------------------ *)
 (* Bechamel suite                                                      *)
@@ -385,9 +390,12 @@ let write_metrics () =
   (* final GC reading so the gc gauges reflect the whole run (the
      ladder also records after each size, feeding top_heap_words) *)
   Obs.record_gc ();
-  Artifact.write ~path:metrics_file
-    (Obs.to_json ~spans:true (Obs.snapshot ()));
-  Format.printf "wrote %s@." metrics_file
+  if full_run then begin
+    Artifact.write ~path:metrics_file
+      (Obs.to_json ~spans:true (Obs.snapshot ()));
+    Format.printf "wrote %s@." metrics_file
+  end
+  else Format.printf "%s left as it is (full runs only)@." metrics_file
 
 let json_escape s =
   let buf = Buffer.create (String.length s) in

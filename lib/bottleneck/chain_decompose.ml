@@ -40,11 +40,15 @@ module Q = Rational
    - weights are scaled once, globally, to integers W_v = D·w_v
      (D = lcm of the denominators, ΣW ≤ 2^29), so per-solve setup is an
      int copy with no Bigint traffic.  When the graph as a whole does
-     not fit, per-component scaling and an exact-rational fallback on
-     the Chain_fast DP kernel take over;
+     not fit, per-component scaling takes over, and when a component
+     does not fit either, the fallback scales it once to Bigint weights
+     and runs the Chain_fast DP kernel at scale q·D;
    - the DP runs on flat int tables in reusable scratch buffers, and
      minimiser members land in a reusable position buffer instead of a
      per-iteration list (Dinkelbach.solve_poly at ['set = unit]).
+
+   Both oracles share one warm-started per-component Dinkelbach
+   ([descend]) and leave their members in the same scratch buffer.
 
    Dinkelbach converges to exactly α_c with the maximal minimiser of
    the final oracle call, independent of its starting point, so
@@ -103,7 +107,7 @@ type scratch = {
   mutable forced : int array;  (* per-position forced-membership minima *)
   mutable mem : int array;  (* minimiser positions of the last oracle call *)
   mutable mlen : int;
-  mutable gmark : bool array;  (* Γ-dedup marks for ratio_of_members *)
+  mutable gmark : bool array;  (* Γ-dedup marks for iter_members *)
 }
 
 let make_scratch () =
@@ -355,11 +359,11 @@ let scale_weights g vertex count out =
       in
       fill 0 0
 
-(* α-ratio of the member positions in [sc.mem]: marked-neighbour weights
-   over member weights, at the integer scale (the common D cancels). *)
-let ratio_of_members sc ~cycle k =
-  let w = sc.wi and gm = sc.gmark in
-  let sw = ref 0 and gw = ref 0 in
+(* Walk the member positions in [sc.mem]: [self i] once per member and
+   [gamma j] once per distinct position of their in-component Γ
+   (inclusive), deduplicated through [sc.gmark]. *)
+let iter_members sc ~cycle k ~self ~gamma =
+  let gm = sc.gmark in
   let nb_iter i f =
     if cycle then begin
       f ((i + k - 1) mod k);
@@ -373,18 +377,63 @@ let ratio_of_members sc ~cycle k =
   let touch j =
     if not gm.(j) then begin
       gm.(j) <- true;
-      gw := !gw + w.(j)
+      gamma j
     end
   in
   for x = 0 to sc.mlen - 1 do
     let i = sc.mem.(x) in
-    sw := !sw + w.(i);
+    self i;
     nb_iter i touch
   done;
   for x = 0 to sc.mlen - 1 do
     nb_iter sc.mem.(x) (fun j -> gm.(j) <- false)
-  done;
+  done
+
+(* α-ratio of the member positions in [sc.mem]: Γ weights over member
+   weights, at the integer scale (the common D cancels). *)
+let ratio_of_members sc ~cycle k =
+  let w = sc.wi in
+  let sw = ref 0 and gw = ref 0 in
+  iter_members sc ~cycle k
+    ~self:(fun i -> sw := !sw + w.(i))
+    ~gamma:(fun j -> gw := !gw + w.(j));
   Q.of_ints !gw !sw
+
+(* The same ratio over the fallback's Bigint weights. *)
+let ratio_of_members_big sc ~cycle k ws =
+  let sw = ref Bigint.zero and gw = ref Bigint.zero in
+  iter_members sc ~cycle k
+    ~self:(fun i -> sw := Bigint.add !sw ws.(i))
+    ~gamma:(fun j -> gw := Bigint.add !gw ws.(j));
+  Q.make !gw !sw
+
+(* The fallback's oracle call: the Chain_fast kernel over Bigint costs at
+   scale q·D, reduced to what the int oracles report.  That is the
+   minimum over NONEMPTY sets, i.e. the least forced-membership minimum,
+   with its positions in [sc.mem]; only its sign is returned. *)
+let oracle_scaled sc ws ~cycle ~alpha =
+  let _, forced = Chain_fast.solve_scaled ~cycle ws ~alpha in
+  let m = ref None in
+  sc.mlen <- 0;
+  Array.iteri
+    (fun i f ->
+      match f with
+      | None -> ()
+      | Some c ->
+          let s = match !m with None -> -1 | Some b -> Bigint.compare c b in
+          if s < 0 then begin
+            m := f;
+            sc.mlen <- 0
+          end;
+          if s <= 0 then begin
+            sc.mem.(sc.mlen) <- i;
+            sc.mlen <- sc.mlen + 1
+          end)
+    forced;
+  match !m with
+  | Some m -> Bigint.sign m
+  | None ->
+      Ringshare_error.(error (Infeasible_dp "Chain_decompose: empty table"))
 
 (* ------------------------------------------------------------------ *)
 (* Per-component Dinkelbach                                            *)
@@ -399,21 +448,48 @@ let int_alpha alpha =
       Some (p, q)
   | _ -> None
 
+(* α_c of one positive component of [k] positions, whichever oracle runs.
+   [call ~alpha] is one oracle call: it returns the sign (as an int) of
+   the component minimum over nonempty sets at α and leaves that
+   minimum's positions in [sc.mem]; [alpha_of ()] is their ratio.
+
+   [warm] is the parent component's α_c, used as the first probe point
+   when the oracle can take it.  Dinkelbach's answer does not depend on
+   the trajectory — h(α) = 0 iff α = α_c, and the final oracle call at
+   α_c returns the maximal minimiser — so probing below α_c is
+   recoverable: a positive nonempty minimum certifies α < α_c, and the
+   probe's minimiser has ratio r ≥ α_c, a valid restart.  A fragment
+   differs from its parent by a small removed region, so its α_c is
+   usually adjacent to the parent's and the solve finishes in ~2 sweeps
+   instead of a full descent from 1. *)
+let descend ~budget ~k ~warm ~call ~alpha_of =
+  let oracle ~alpha = (q_of_sign (call ~alpha), ()) in
+  let run start = snd (Dinkelbach.solve_poly ~budget ~oracle ~alpha_of start) in
+  if Int.equal k 1 then
+    (* isolated vertex: Γ = ∅, so α_c = 0 — one confirming call *)
+    run Q.zero
+  else
+    match warm with
+    | None -> run Q.one
+    | Some warm ->
+        if Int.equal (call ~alpha:warm) 0 then warm
+        else
+          (* negative: ordinary descent continues at the minimiser's
+             ratio.  Positive: warm < α_c; jump up to the minimiser's
+             ratio r ≥ α_c (clamped to the always-valid 1 if the
+             minimiser had zero weight). *)
+          let r = alpha_of () in
+          run (if Q.compare r Q.one < 0 then r else Q.one)
+
 (* (α_c, maximal-bottleneck vertex ids) of one positive component given
    by [vertex : position -> id].  [scaled] carries the global scaling
-   (denominator, per-vertex-id ints) when the whole graph fits.
-   Instrumentation matches the whole-mask oracle: the shared failpoint,
-   the shared oracle counter, and a budget tick of 1 + component size
-   per oracle call.
-
-   [warm] is the parent component's α_c, used as the first probe point.
-   Dinkelbach's answer does not depend on the trajectory — h(α) = 0 iff
-   α = α_c, and the final oracle call at α_c returns the maximal
-   minimiser — so probing below α_c is recoverable: h(α) > 0 certifies
-   α < α_c, and the probe's minimiser has ratio r ≥ α_c, a valid
-   restart.  A fragment differs from its parent by a small removed
-   region, so its α_c is usually adjacent to the parent's and the solve
-   finishes in ~2 sweeps instead of a full descent from 1. *)
+   (denominator, per-vertex-id ints) when the whole graph fits; when it
+   does not, the component is scaled on its own, and if even that does
+   not fit the int DP, it is scaled once to Bigint weights for the
+   Chain_fast kernel.  Both oracles leave their members in [sc]: no
+   shared state, safe under Parwork sharding.  Instrumentation matches
+   the whole-mask oracle: the shared failpoint, the shared oracle
+   counter, and a budget tick of 1 + component size per oracle call. *)
 let solve_positive g scaled budget sc ~vertex ~k ~cycle ~warm =
   Obs.Counter.incr c_solves;
   ensure sc k;
@@ -426,95 +502,39 @@ let solve_positive g scaled budget sc ~vertex ~k ~cycle ~warm =
         Some d
     | None -> scale_weights g vertex k sc.wi
   in
-  match d_opt with
-  | Some _ ->
-      Obs.Counter.incr c_int_dp;
-      let call ~alpha =
-        Failpoint.hit fp_iter;
-        Obs.Counter.incr c_oracle;
-        Budget.tick ~cost:(1 + k) budget;
-        let p = Bigint.to_int_exn (Q.num alpha) in
-        let q = Bigint.to_int_exn (Q.den alpha) in
-        if cycle then oracle_cycle_int sc k ~p ~q
-        else oracle_path_int sc k ~p ~q
-      in
-      let oracle ~alpha = (q_of_sign (call ~alpha), ()) in
-      let alpha_of () = ratio_of_members sc ~cycle k in
-      let finish alpha =
-        (alpha, Array.init sc.mlen (fun x -> vertex sc.mem.(x)))
-      in
-      if Int.equal k 1 then begin
-        (* isolated vertex: Γ = ∅, so α_c = 0 — one confirming call *)
-        let (), alpha = Dinkelbach.solve_poly ~budget ~oracle ~alpha_of Q.zero in
-        finish alpha
-      end
-      else begin
-        match int_alpha warm with
-        | Some _ ->
-            let m0 = call ~alpha:warm in
-            if Int.equal m0 0 then finish warm
-            else begin
-              (* m0 < 0: ordinary descent continues at the minimiser's
-                 ratio.  m0 > 0: warm < α_c; jump up to the minimiser's
-                 ratio r ≥ α_c (clamped to the always-valid 1 if the
-                 minimiser had zero weight). *)
-              let r = alpha_of () in
-              let start = if Q.compare r Q.one < 0 then r else Q.one in
-              let (), alpha =
-                Dinkelbach.solve_poly ~budget ~oracle ~alpha_of start
-              in
-              finish alpha
-            end
-        | None ->
-            let (), alpha =
-              Dinkelbach.solve_poly ~budget ~oracle ~alpha_of Q.one
-            in
-            finish alpha
-      end
-  | None ->
-      (* Exact-rational fallback on the Chain_fast DP kernel; members
-         come back as vertex ids, so Γ runs over a local position
-         table — no shared state, safe under Parwork sharding. *)
-      Obs.Counter.incr c_q_fallback;
-      let verts = Array.init k vertex in
-      let pos = Tables.Itbl.create k in
-      Array.iteri (fun i v -> Tables.Itbl.replace pos v i) verts;
-      let gmark = Array.make k false in
-      let nb_iter i f =
-        if cycle then begin
-          f ((i + k - 1) mod k);
-          f ((i + 1) mod k)
-        end
-        else begin
-          if i > 0 then f (i - 1);
-          if i < k - 1 then f (i + 1)
-        end
-      in
-      let alpha_of ms =
-        let ps = List.map (fun v -> Tables.Itbl.find pos v) ms in
-        let sw = ref Q.zero and gw = ref Q.zero in
-        List.iter (fun i -> sw := Q.add !sw (Graph.weight g verts.(i))) ps;
-        let touch j =
-          if not gmark.(j) then begin
-            gmark.(j) <- true;
-            gw := Q.add !gw (Graph.weight g verts.(j))
-          end
+  let tick () =
+    Failpoint.hit fp_iter;
+    Obs.Counter.incr c_oracle;
+    Budget.tick ~cost:(1 + k) budget
+  in
+  let alpha =
+    match d_opt with
+    | Some _ ->
+        Obs.Counter.incr c_int_dp;
+        let call ~alpha =
+          tick ();
+          let p = Bigint.to_int_exn (Q.num alpha) in
+          let q = Bigint.to_int_exn (Q.den alpha) in
+          if cycle then oracle_cycle_int sc k ~p ~q
+          else oracle_path_int sc k ~p ~q
         in
-        List.iter (fun i -> nb_iter i touch) ps;
-        List.iter (fun i -> nb_iter i (fun j -> gmark.(j) <- false)) ps;
-        Q.div !gw !sw
-      in
-      let oracle ~alpha =
-        Failpoint.hit fp_iter;
-        Obs.Counter.incr c_oracle;
-        Budget.tick ~cost:(1 + k) budget;
-        Chain_fast.solve_component g ~alpha ~cycle verts
-      in
-      let init = if Int.equal k 1 then Q.zero else Q.one in
-      let members, alpha =
-        Dinkelbach.solve_poly ~budget ~oracle ~alpha_of init
-      in
-      (alpha, Array.of_list members)
+        descend ~budget ~k
+          ~warm:(if Option.is_some (int_alpha warm) then Some warm else None)
+          ~call
+          ~alpha_of:(fun () -> ratio_of_members sc ~cycle k)
+    | None ->
+        Obs.Counter.incr c_q_fallback;
+        let _, ws =
+          Chain_fast.scale (Array.init k (fun i -> Graph.weight g (vertex i)))
+        in
+        let call ~alpha =
+          tick ();
+          oracle_scaled sc ws ~cycle ~alpha
+        in
+        descend ~budget ~k ~warm:(Some warm) ~call
+          ~alpha_of:(fun () -> ratio_of_members_big sc ~cycle k ws)
+  in
+  (alpha, Array.init sc.mlen (fun x -> vertex sc.mem.(x)))
 
 (* ------------------------------------------------------------------ *)
 (* Component registry, heap and the pair loop                          *)

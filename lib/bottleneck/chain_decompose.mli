@@ -2,8 +2,9 @@
     ≤ 2): per-component Dinkelbach over a min-heap of component ratios
     instead of the generic loop's whole-mask oracle, with the component
     DP running on reusable flat int buffers (weights scaled to a common
-    denominator) and an exact-rational fallback when the weights don't
-    fit.  Produces bit-identical pairs to the generic fast-chain loop —
+    denominator) and, when the weights don't fit, a fallback that scales
+    the component once to {!Bigint} weights for the {!Chain_fast} kernel.
+    Both start each fragment's solve from its parent's α.  Produces bit-identical pairs to the generic fast-chain loop —
     both are pure functions of the residual mask — in roughly
     O(n log n) instead of O(n²); independent component solves shard
     across [ctx.domains] when a batch is large enough.

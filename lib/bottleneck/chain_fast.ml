@@ -194,37 +194,52 @@ module Make (C : COST) = struct
 end
 
 (* ------------------------------------------------------------------ *)
-(* Exact-rational instance and the oracle                              *)
+(* Exact instance at integer scale, and the oracle                     *)
 (* ------------------------------------------------------------------ *)
 
-module Exact = Make (struct
-  type t = Q.t
+(* Costs at scale q·D (see the interface): a positive scale keeps every
+   comparison of the rational costs, and no cell pays for a gcd. *)
+module Scaled = Make (struct
+  type t = Bigint.t
 
-  let zero = Q.zero
-  let add = Q.add
-  let sub = Q.sub
+  let zero = Bigint.zero
+  let add = Bigint.add
+  let sub = Bigint.sub
 
   let better cur cand =
     match (cur, cand) with
     | None, x | x, None -> x
-    | Some c, Some d -> if Q.compare d c < 0 then cand else cur
+    | Some c, Some d -> if Bigint.compare d c < 0 then cand else cur
 end)
 
-let solve_component g ~alpha ~cycle verts =
-  let ws = Array.map (Graph.weight g) verts in
-  let sch = Array.map (Q.mul alpha) ws in
-  let m, forced =
-    Exact.solve ~cycle ~gam:(Array.get ws) ~sch:(Array.get sch)
-      (Array.length verts)
+let scale ws =
+  let d =
+    Array.fold_left
+      (fun l w ->
+        if Q.is_inf w then invalid_arg "Chain_fast: infinite weight";
+        let dw = Q.den w in
+        Bigint.mul (Bigint.div l (Bigint.gcd l dw)) dw)
+      Bigint.one ws
   in
+  (d, Array.map (fun w -> Bigint.mul (Q.num w) (Bigint.div d (Q.den w))) ws)
+
+let solve_scaled ~cycle ws ~alpha =
+  let p = Q.num alpha and q = Q.den alpha in
+  let gam = Array.map (Bigint.mul q) ws and sch = Array.map (Bigint.mul p) ws in
+  Scaled.solve ~cycle ~gam:(Array.get gam) ~sch:(Array.get sch)
+    (Array.length ws)
+
+let solve_component g ~alpha ~cycle verts =
+  let d, ws = scale (Array.map (Graph.weight g) verts) in
+  let m, forced = solve_scaled ~cycle ws ~alpha in
   let members = ref [] in
   Array.iteri
     (fun i f ->
       match f with
-      | Some f when Q.equal f m -> members := verts.(i) :: !members
+      | Some f when Bigint.equal f m -> members := verts.(i) :: !members
       | _ -> ())
     forced;
-  (m, !members)
+  (Q.make m (Bigint.mul (Q.den alpha) d), !members)
 
 let c_oracle =
   Obs.Counter.make ~subsystem:"decomposition" "fastchain_oracle_calls"

@@ -12,9 +12,9 @@
     table and one suffix table give every forced-vertex minimum as an O(1)
     combine, so a whole oracle call is O(n).  Cycles condition on the
     memberships of the two vertices at the cut (4 table pairs instead of
-    1).  The exact-rational oracle below is one instance; the parametric
-    stage replay of [Breakpoints] is another, with costs that are
-    quadratics in the split weight. *)
+    1).  The exact oracle below is one instance, over {!Bigint} costs at
+    an integer scale; the parametric stage replay of [Breakpoints] is
+    another, with costs that are quadratics in the split weight. *)
 
 (** {1 Components} *)
 
@@ -56,18 +56,38 @@ module Make (C : COST) : sig
       cycle. *)
 end
 
-(** {1 The exact-rational oracle} *)
+(** {1 The exact oracle}
+
+    Costs are exact integers at scale [q·D] for [α = p/q]: [D] is the lcm
+    of the component's weight denominators and [W_i = D·w_i], so a
+    Γ-charge is [q·W_i] and an S-term [p·W_i].  The scale is positive, so
+    minima, minimisers and tie-breaks are those of the rational costs,
+    and every DP cell is a {!Bigint} add or compare with no gcd. *)
+
+val scale : Rational.t array -> Bigint.t * Bigint.t array
+(** [scale ws] is [(D, W)] with [D] the lcm of the denominators of [ws]
+    and [W_i = D·w_i].
+    @raise Invalid_argument on an infinite weight. *)
+
+val solve_scaled :
+  cycle:bool -> Bigint.t array -> alpha:Rational.t ->
+  Bigint.t * Bigint.t option array
+(** [solve_scaled ~cycle w ~alpha] runs the DP over a component with
+    scaled weights [w] (walk order, as from {!scale}) at a finite
+    [alpha]: the component minimum, the empty set included, and each
+    position's forced-membership minimum ({!Make.solve}), all at scale
+    [q·D].  Callers that solve one component at many [α] scale it
+    once. *)
 
 val solve_component :
   Graph.t -> alpha:Rational.t -> cycle:bool -> int array ->
   Rational.t * int list
 (** One DP evaluation over a component given as its vertex sequence (in
     ring order when [cycle]): [(h_comp(α), members)] where [members] are
-    the vertex ids of the component's maximal minimiser at [α].
-    Mask-independent — weights are read straight off the graph — so the
-    per-component decomposition driver ({!Chain_decompose}) reuses it as
-    the exact-rational fallback when weights do not admit a small common
-    denominator. *)
+    the vertex ids of the component's maximal minimiser at [α].  Scales
+    the weights ({!scale}) on every call and divides the minimum by
+    [q·D] once at the end.  Mask-independent: weights are read straight
+    off the graph. *)
 
 val h_and_argmax :
   ?budget:Budget.t -> Graph.t -> mask:Vset.t -> alpha:Rational.t ->

@@ -61,6 +61,11 @@ let make ~q ~r ~d =
       mk_rational (Q.add q (Q.mul r (Q.of_bigint s)))
     else { q; r; d }
 
+(* [make] for a result of arithmetic inside one field: [d] is the
+   radicand of an operand with a nonzero surd, so it is already known
+   not to be a perfect square and needs no [isqrt] test. *)
+let in_field ~q ~r ~d = if Q.is_zero r then mk_rational q else { q; r; d }
+
 let of_q q = mk_rational q
 let of_int n = mk_rational (Q.of_int n)
 
@@ -179,14 +184,14 @@ let add a b =
   else if Q.is_inf a.q || Q.is_inf b.q then raise Division_by_zero
   else
     let a, b = promote a b in
-    make ~q:(Q.add a.q b.q) ~r:(Q.add a.r b.r) ~d:a.d
+    in_field ~q:(Q.add a.q b.q) ~r:(Q.add a.r b.r) ~d:a.d
 
 let sub a b =
   if Q.is_zero a.r && Q.is_zero b.r then mk_rational (Q.sub a.q b.q)
   else if Q.is_inf a.q || Q.is_inf b.q then raise Division_by_zero
   else
     let a, b = promote a b in
-    make ~q:(Q.sub a.q b.q) ~r:(Q.sub a.r b.r) ~d:a.d
+    in_field ~q:(Q.sub a.q b.q) ~r:(Q.sub a.r b.r) ~d:a.d
 
 let mul a b =
   if Q.is_zero a.r && Q.is_zero b.r then mk_rational (Q.mul a.q b.q)
@@ -198,7 +203,7 @@ let mul a b =
       Q.add (Q.mul a.q b.q) (Q.mul (Q.mul a.r b.r) (Q.of_bigint d))
     in
     let r = Q.add (Q.mul a.q b.r) (Q.mul a.r b.q) in
-    make ~q ~r ~d
+    in_field ~q ~r ~d
 
 let inv t =
   if sign t = 0 then raise Division_by_zero;
@@ -209,7 +214,7 @@ let inv t =
     let norm =
       Q.sub (Q.mul t.q t.q) (Q.mul (Q.mul t.r t.r) (Q.of_bigint t.d))
     in
-    make ~q:(Q.div t.q norm) ~r:(Q.neg (Q.div t.r norm)) ~d:t.d
+    in_field ~q:(Q.div t.q norm) ~r:(Q.neg (Q.div t.r norm)) ~d:t.d
 
 let div a b =
   if Q.is_zero a.r && Q.is_zero b.r then mk_rational (Q.div a.q b.q)

@@ -308,6 +308,29 @@ for pin in uniform:00da693abcaf9b6f8f250d71308254aa \
     fails=$((fails + 1)); }
 done
 
+# 27. the exact sweep's dyadic witness is pinned byte for byte: on these
+#     instances the certified optimum is irrational, so best_split_exact
+#     reports the better 2^-40 bracket and evaluates the mechanism there,
+#     which sends the split path's identity component to the chain
+#     driver's Bigint fallback.  Digests recorded with the exact-rational
+#     fallback kernel.
+for pin in uniform:8:6e7716c5a5794b9ee7ae94fc3c833682 \
+           uniform:12:8d8aa2ea3fc33d23c7ab26efb96da3df \
+           powerlaw:13:4bf2f05562442ed2fc64be85ec1346eb \
+           bimodal:16:8d4f9fd68b4a9af9549c4ce936f1f70f; do
+  dist=${pin%%:*}; rest=${pin#*:}; seed=${rest%%:*}; digest=${rest#*:}
+  "$cli" sybil -n 10 --seed "$seed" --dist "$dist" --sweep exact \
+    > "$tmpdir/witness.out" 2> /dev/null
+  expect "sybil -n 10 --seed $seed --dist $dist --sweep exact" 0 $?
+  grep -q "^exact: w1=.*sqrt" "$tmpdir/witness.out" || {
+    echo "FAIL: sybil --seed $seed --dist $dist optimum is no longer irrational" >&2
+    fails=$((fails + 1)); }
+  got=$(md5sum < "$tmpdir/witness.out" | cut -d' ' -f1)
+  [ "$got" = "$digest" ] || {
+    echo "FAIL: sybil --seed $seed --dist $dist --sweep exact digest $got, expected $digest" >&2
+    fails=$((fails + 1)); }
+done
+
 # 10. an unknown --obs-only subsystem is a spec error: exit 4, one line
 "$cli" decompose --fig1 --obs-only bogus > /dev/null 2> "$tmpdir/err"
 expect "unknown --obs-only subsystem" 4 $?

@@ -224,6 +224,40 @@ let test_counters_tick () =
     (counter "exact_events");
   Alcotest.(check bool) "evaluations ticked" true (counter "exact_evals" > 0)
 
+(* -------------------------------------------------------------------- *)
+(* 6. Work pin: best_attack_exact over a seeded n = 10 ring battery      *)
+(* -------------------------------------------------------------------- *)
+
+(* The perfbench exact-sweep requests in miniature: n = 10 rings under
+   the benchmark's three weight distributions.  Exact counts, so a
+   change that alters how many splits are evaluated, how many pieces
+   the sweep certifies or how often the chain driver leaves its int DP
+   fails here without timing noise.  The witness splits j/2^40 are what
+   send components to the driver's scaled-Bigint fallback. *)
+let test_attack_work_pin () =
+  let dists =
+    Weights.[| Bimodal (1, 100, 0.3); Uniform (1, 100); Powerlaw (1000, 2.0) |]
+  in
+  let ctx = Engine.Ctx.make ~obs:true ~sweep:Engine.Exact () in
+  Obs.set_metrics true;
+  let before = Obs.snapshot () in
+  Fun.protect
+    ~finally:(fun () -> Obs.set_metrics false)
+    (fun () ->
+      for seed = 1 to 30 do
+        let g = Instances.ring ~seed ~n:10 dists.(seed mod 3) in
+        ignore (Incentive.best_attack_exact ~ctx g)
+      done);
+  let d = Obs.diff (Obs.snapshot ()) before in
+  let count subsystem name = Obs.counter_value d ~subsystem name in
+  Alcotest.(check int) "fallback solves" 360
+    (count "decomposition" "chain_driver_q_fallback_solves");
+  Alcotest.(check int) "exact pieces" 1_647 (count "incentive" "exact_pieces");
+  Alcotest.(check int) "exact evaluations" 3_839
+    (count "incentive" "exact_evals");
+  Alcotest.(check int) "chain oracle calls" 43_617
+    (count "decomposition" "fastchain_oracle_calls")
+
 let () =
   Alcotest.run "exact_sweep"
     [
@@ -238,5 +272,7 @@ let () =
           Alcotest.test_case "piece tiling and constancy" `Quick
             test_piece_tiling;
           Alcotest.test_case "exact counters tick" `Quick test_counters_tick;
+          Alcotest.test_case "best_attack_exact work pin" `Quick
+            test_attack_work_pin;
         ] );
     ]

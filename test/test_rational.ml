@@ -103,6 +103,55 @@ let test_to_float () =
   Alcotest.(check (float 1e-12)) "1/2" 0.5 (Q.to_float Q.half);
   Alcotest.(check bool) "inf" true (Q.to_float Q.inf = Float.infinity)
 
+(* Qx arithmetic builds its results inside the operands' field without
+   re-testing the radicand, so every result must already be in [make]'s
+   normal form: rebuilding it through [make] changes no field, no
+   printed form, no value and no hash.  The operands mix rationals with
+   surds over compatible radicands (2, 8, 18, 50 are all 2·k², and so
+   on), which exercises the field promotion. *)
+let test_qx_normal_form () =
+  let rng = Prng.create 97 in
+  let rq () = Q.of_ints (Prng.int rng 41 - 20) (1 + Prng.int rng 9) in
+  let fields = [| [| 2; 8; 18; 50 |]; [| 3; 12; 27 |]; [| 5; 20; 45 |] |] in
+  let value radicands =
+    if Prng.int rng 4 = 0 then Qx.of_q (rq ())
+    else
+      Qx.make ~q:(rq ()) ~r:(rq ())
+        ~d:(Bigint.of_int radicands.(Prng.int rng (Array.length radicands)))
+  in
+  let normal x =
+    let r, d = Qx.surd_part x in
+    let y = Qx.make ~q:(Qx.rational_part x) ~r ~d in
+    let r', d' = Qx.surd_part y in
+    String.equal (Qx.to_string x) (Qx.to_string y)
+    && Q.equal r r' && Bigint.equal d d' && Qx.equal x y
+    && Int.equal (Qx.hash x) (Qx.hash y)
+  in
+  for trial = 1 to 600 do
+    let x = value fields.(trial mod 3) and y = value fields.(trial mod 3) in
+    let results =
+      [ ("add", Qx.add x y); ("sub", Qx.sub x y); ("mul", Qx.mul x y) ]
+      @ if Qx.sign y = 0 then [] else [ ("div", Qx.div x y) ]
+    in
+    List.iter
+      (fun (op, z) ->
+        Alcotest.(check bool)
+          (Printf.sprintf "%s (%s) (%s) = %s is normal" op (Qx.to_string x)
+             (Qx.to_string y) (Qx.to_string z))
+          true (normal z))
+      results
+  done;
+  let s2 = Qx.sqrt_q Q.two and s8 = Qx.sqrt_q (Q.of_int 8) in
+  let check_qx name want got =
+    Alcotest.(check string) name want (Qx.to_string got);
+    Alcotest.(check bool) (name ^ " normal") true (normal got)
+  in
+  check_qx "sqrt 2 + sqrt 8" "0+3*sqrt(2)" (Qx.add s2 s8);
+  check_qx "sqrt 8 - sqrt 2" "0+1/2*sqrt(8)" (Qx.sub s8 s2);
+  check_qx "sqrt 2 * sqrt 8" "4" (Qx.mul s2 s8);
+  check_qx "sqrt 8 / sqrt 2" "2" (Qx.div s8 s2);
+  check_qx "(1 + sqrt 2) - sqrt 8 / 2" "1" (Qx.sub (Qx.add_q s2 Q.one) (Qx.div_q s8 Q.two))
+
 (* Finite-only generator pairs. *)
 let gen2 = QCheck2.Gen.pair Helpers.rational_gen Helpers.rational_gen
 let gen3 =
@@ -157,6 +206,8 @@ let () =
           Alcotest.test_case "strings" `Quick test_strings;
           Alcotest.test_case "of_string pins" `Quick test_of_string_pins;
           Alcotest.test_case "to_float" `Quick test_to_float;
+          Alcotest.test_case "Qx arithmetic keeps make's normal form" `Quick
+            test_qx_normal_form;
         ] );
       ("properties", props);
     ]
