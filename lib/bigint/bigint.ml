@@ -551,6 +551,17 @@ let[@lint.allow "float"] to_float = function
       done;
       if sign < 0 then -. !f else !f
 
+(* Bit length of a non-negative native int. *)
+let rec int_bits n = if n = 0 then 0 else 1 + int_bits (n lsr 1)
+
+(* A base-10^9 limb is below 2^30, so a magnitude of l limbs whose top
+   limb has b bits is below 2^(b + 30(l - 1)). *)
+let bits_bound = function
+  | Small n -> if n = Stdlib.min_int then 63 else int_bits (Stdlib.abs n)
+  | Big { mag; _ } ->
+      let l = Array.length mag in
+      int_bits mag.(l - 1) + (30 * (l - 1))
+
 let mul_int a n = mul a (Small n)
 let add_int a n = add a (Small n)
 

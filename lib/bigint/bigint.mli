@@ -84,6 +84,11 @@ val pow : t -> int -> t
 (** [pow x n] for [n >= 0].
     @raise Invalid_argument on negative exponent. *)
 
+val bits_bound : t -> int
+(** A [k] with [|x| < 2^k]: the exact bit length of [|x|] for values
+    that fit a native [int], and at most about 3.5% above it (one
+    base-[10^9] limb spans [2^30]) otherwise. *)
+
 val mul_int : t -> int -> t
 val add_int : t -> int -> t
 

@@ -328,8 +328,8 @@ let oracle_cycle_int sc k ~p ~q =
 let scale_bound = 1 lsl 29
 
 (* Scale the weights of [vertex 0..count-1] to integers W_i = D·w_i with
-   ΣW ≤ 2^29, writing into [out]; returns D, or None when they don't
-   fit (infinite weight, huge denominators or sums). *)
+   ΣW ≤ 2^29, writing into [out]; false when they don't fit (infinite
+   weight, huge denominators or sums). *)
 let scale_weights g vertex count out =
   let rec lcm_den i l =
     if i >= count then Some l
@@ -344,10 +344,10 @@ let scale_weights g vertex count out =
         | _ -> None
   in
   match lcm_den 0 Bigint.one with
-  | None -> None
+  | None -> false
   | Some l ->
       let rec fill i sum =
-        if i >= count then Some (Bigint.to_int_exn l)
+        if i >= count then true
         else
           let wq = Graph.weight g (vertex i) in
           let wb = Bigint.mul (Q.num wq) (Bigint.div l (Q.den wq)) in
@@ -355,7 +355,7 @@ let scale_weights g vertex count out =
           | Some wv when wv >= 0 && sum + wv <= scale_bound ->
               out.(i) <- wv;
               fill (i + 1) (sum + wv)
-          | _ -> None
+          | _ -> false
       in
       fill 0 0
 
@@ -482,8 +482,8 @@ let descend ~budget ~k ~warm ~call ~alpha_of =
           run (if Q.compare r Q.one < 0 then r else Q.one)
 
 (* (α_c, maximal-bottleneck vertex ids) of one positive component given
-   by [vertex : position -> id].  [scaled] carries the global scaling
-   (denominator, per-vertex-id ints) when the whole graph fits; when it
+   by [vertex : position -> id].  [scaled] carries the globally scaled
+   per-vertex-id ints when the whole graph fits; when it
    does not, the component is scaled on its own, and if even that does
    not fit the int DP, it is scaled once to Bigint weights for the
    Chain_fast kernel.  Both oracles leave their members in [sc]: no
@@ -493,13 +493,13 @@ let descend ~budget ~k ~warm ~call ~alpha_of =
 let solve_positive g scaled budget sc ~vertex ~k ~cycle ~warm =
   Obs.Counter.incr c_solves;
   ensure sc k;
-  let d_opt =
+  let fits =
     match scaled with
-    | Some (d, gw) ->
+    | Some gw ->
         for i = 0 to k - 1 do
           sc.wi.(i) <- gw.(vertex i)
         done;
-        Some d
+        true
     | None -> scale_weights g vertex k sc.wi
   in
   let tick () =
@@ -508,31 +508,32 @@ let solve_positive g scaled budget sc ~vertex ~k ~cycle ~warm =
     Budget.tick ~cost:(1 + k) budget
   in
   let alpha =
-    match d_opt with
-    | Some _ ->
-        Obs.Counter.incr c_int_dp;
-        let call ~alpha =
-          tick ();
-          let p = Bigint.to_int_exn (Q.num alpha) in
-          let q = Bigint.to_int_exn (Q.den alpha) in
-          if cycle then oracle_cycle_int sc k ~p ~q
-          else oracle_path_int sc k ~p ~q
-        in
-        descend ~budget ~k
-          ~warm:(if Option.is_some (int_alpha warm) then Some warm else None)
-          ~call
-          ~alpha_of:(fun () -> ratio_of_members sc ~cycle k)
-    | None ->
-        Obs.Counter.incr c_q_fallback;
-        let _, ws =
-          Chain_fast.scale (Array.init k (fun i -> Graph.weight g (vertex i)))
-        in
-        let call ~alpha =
-          tick ();
-          oracle_scaled sc ws ~cycle ~alpha
-        in
-        descend ~budget ~k ~warm:(Some warm) ~call
-          ~alpha_of:(fun () -> ratio_of_members_big sc ~cycle k ws)
+    if fits then begin
+      Obs.Counter.incr c_int_dp;
+      let call ~alpha =
+        tick ();
+        let p = Bigint.to_int_exn (Q.num alpha) in
+        let q = Bigint.to_int_exn (Q.den alpha) in
+        if cycle then oracle_cycle_int sc k ~p ~q
+        else oracle_path_int sc k ~p ~q
+      in
+      descend ~budget ~k
+        ~warm:(if Option.is_some (int_alpha warm) then Some warm else None)
+        ~call
+        ~alpha_of:(fun () -> ratio_of_members sc ~cycle k)
+    end
+    else begin
+      Obs.Counter.incr c_q_fallback;
+      let _, ws =
+        Chain_fast.scale (Array.init k (fun i -> Graph.weight g (vertex i)))
+      in
+      let call ~alpha =
+        tick ();
+        oracle_scaled sc ws ~cycle ~alpha
+      in
+      descend ~budget ~k ~warm:(Some warm) ~call
+        ~alpha_of:(fun () -> ratio_of_members_big sc ~cycle k ws)
+    end
   in
   (alpha, Array.init sc.mlen (fun x -> vertex sc.mem.(x)))
 
@@ -650,20 +651,18 @@ let compute ~ctx ~on_pair g =
   (* one global scaling pass: per-solve setup becomes an int copy *)
   let gweights = Array.make (Int.max n 1) 0 in
   let scaled =
-    match scale_weights g (fun v -> v) n gweights with
-    | Some d -> Some (d, gweights)
-    | None -> None
+    if scale_weights g (fun v -> v) n gweights then Some gweights else None
   in
   let wz =
     match scaled with
-    | Some (_, gw) -> fun v -> Int.equal gw.(v) 0
+    | Some gw -> fun v -> Int.equal gw.(v) 0
     | None -> fun v -> Q.is_zero (Graph.weight g v)
   in
   (* pair α-ratios come from the same scaled int sums as the DP:
      Σ W = D·Σ w exactly, so W(C)/W(B) reduces to the same canonical
      rational as pair_alpha's Q.div of the unscaled sums *)
   let has_iw, iw =
-    match scaled with Some (_, gw) -> (true, gw) | None -> (false, [||])
+    match scaled with Some gw -> (true, gw) | None -> (false, [||])
   in
   (* degree-≤2 neighbour table, flat: nb.(2v), nb.(2v+1) or -1 *)
   let nb = Array.make (2 * n) (-1) in

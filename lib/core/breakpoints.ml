@@ -100,41 +100,36 @@ let affine_of_set path ~v1 ~v2 ~total set =
   in
   (const, slope)
 
-(* Degree-<=2 polynomials in x, as coefficient triples (a, b, c) for
-   a*x^2 + b*x + c. *)
-let sub3 (a1, b1, c1) (a2, b2, c2) =
-  (Q.sub a1 a2, Q.sub b1 b2, Q.sub c1 c2)
-
-let lin (c, s) = (Q.zero, Q.of_int s, c)
-
-(* Product of two affine functions. *)
-let amul (c1, s1) (c2, s2) =
-  ( Q.of_int (s1 * s2),
-    Q.add (Q.mul_int c1 s2) (Q.mul_int c2 s1),
-    Q.mul c1 c2 )
-
-(* The stage solves replayed with every partial cost carried as a
-   quadratic in x: the [Chain_fast] DP kernel instantiated per
-   [exact_candidates] call, its costs multiplied through by wb_i so the
-   stage charge −α_i·w_u becomes the polynomial −wc_i·w_u.  Comparisons
-   are resolved by exact evaluation at the rational sample [p] (ties keep
-   the earlier branch) and every comparison difference is recorded.
-
-   The DP runs in the scaled parameter y = D·x (D a common denominator
-   of the weights, the total and the sample), so every coefficient and
-   every evaluation is a [Bigint] — no rational normalisation on the
-   hot path.  Each cost carries its value at the scaled sample beside
-   its coefficients, so a comparison never re-evaluates a polynomial. *)
+(* Every candidate boundary is a degree-≤2 polynomial kept as an integer
+   coefficient triple (a, b, c) for a·y² + b·y + c in the scaled
+   parameter y = D·x (D a common denominator of the weights, the total
+   and the sample), so every coefficient and every evaluation is a
+   [Bigint] — no rational normalisation on the hot path. *)
 module B = Bigint
 
 let bzero3 = (B.zero, B.zero, B.zero)
-let bis_zero3 (a, b, c) = B.is_zero a && B.is_zero b && B.is_zero c
 let badd3 (a1, b1, c1) (a2, b2, c2) = (B.add a1 a2, B.add b1 b2, B.add c1 c2)
 let bsub3 (a1, b1, c1) (a2, b2, c2) = (B.sub a1 a2, B.sub b1 b2, B.sub c1 c2)
-let bneg3 (a, b, c) = (B.neg a, B.neg b, B.neg c)
+let beval3 (a, b, c) py = B.add (B.mul (B.add (B.mul a py) b) py) c
 
-(* Hash table over integer quadratic-coefficient triples, used to
-   dedupe recorded DP comparison differences at record time. *)
+(* A scaled affine function of y, (const·D) + slope·y, as a triple. *)
+let blin (c, s) = (B.zero, B.of_int s, c)
+
+(* Product of two scaled affine functions of y. *)
+let bamul (c1, s1) (c2, s2) =
+  ( B.of_int (s1 * s2),
+    B.add (B.mul_int c1 s2) (B.mul_int c2 s1),
+    B.mul c1 c2 )
+
+(* The primitive form of a non-constant triple: the content gcd divided
+   out and the leading coefficient positive.  Scalar multiples share
+   their roots, so they share one primitive form. *)
+let primitive (a, b, c) =
+  let g = B.gcd (B.gcd a b) c in
+  let g = if B.sign a < 0 || (B.is_zero a && B.sign b < 0) then B.neg g else g in
+  if B.equal g B.one then (a, b, c) else (B.div a g, B.div b g, B.div c g)
+
+(* Hash set over primitive triples: one entry per distinct candidate. *)
 module BTriple = Hashtbl.Make (struct
   type t = B.t * B.t * B.t
 
@@ -143,13 +138,6 @@ module BTriple = Hashtbl.Make (struct
 
   let hash (a, b, c) = (((B.hash a * 31) + B.hash b) * 31) + B.hash c
 end)
-let beval3 (a, b, c) py = B.add (B.mul (B.add (B.mul a py) b) py) c
-
-(* Product of two affine functions of y with Bigint consts. *)
-let bamul (c1, s1) (c2, s2) =
-  ( B.of_int (s1 * s2),
-    B.add (B.mul_int c1 s2) (B.mul_int c2 s1),
-    B.mul c1 c2 )
 
 (* Sensitivity analysis of one greedy stage.  The stage-i solve finds the
    maximal minimiser of w(Γ(S)) − α_i·w(S) over the masked subgraph — one
@@ -162,16 +150,16 @@ let bamul (c1, s1) (c2, s2) =
    complete superset of the structure's event boundaries: basic shape
    conditions alone would miss a pair splitting when some proper subset's
    ratio crosses α_i, which only these DP gaps can see.  [solve] is the
-   recording kernel instance. *)
+   recording kernel instance, and [(awb, awc)] the stage pair's weights
+   (B, C) as scaled affine functions of y.
+
+   A component that holds neither identity, at a stage whose pair
+   weights do not move with x, has constant costs: every difference it
+   could record is a constant, which has no root, so its DP is not
+   replayed at all. *)
 let stage_dp_candidates ~record ~solve ~scale ~py path ~v1 ~v2 ~total ~mask
-    (pair : Decompose.pair) =
-  (* scaled affine view: value·D = (const·D) + slope·y with y = D·x;
-     [scale q] is the (integer) numerator of q·D *)
-  let aff set =
-    let c, s = affine_of_set path ~v1 ~v2 ~total set in
-    (scale c, s)
-  in
-  let awb = aff pair.Decompose.b and awc = aff pair.Decompose.c in
+    (((_, sb) as awb), ((_, sc) as awc)) =
+  let pair_moves = sb <> 0 || sc <> 0 in
   let affv u =
     if u = v1 then (B.zero, 1)
     else if u = v2 then (scale total, -1)
@@ -183,23 +171,41 @@ let stage_dp_candidates ~record ~solve ~scale ~py path ~v1 ~v2 ~total ~mask
       (* split graphs are paths, so masked components cannot be cycles *)
       assert (not comp.Chain_fast.cycle);
       let verts = comp.Chain_fast.verts in
-      let k = Array.length verts in
-      let gam = Array.init k (fun i -> cost (bamul (affv verts.(i)) awb))
-      and sch = Array.init k (fun i -> cost (bamul (affv verts.(i)) awc)) in
-      let (mq, _), forced =
-        solve ~cycle:false ~gam:(Array.get gam) ~sch:(Array.get sch) k
-      in
-      (* the component minimum crossing zero changes which components
-         achieve the stage ratio *)
-      record mq;
-      Array.iter
-        (function None -> () | Some (fq, _) -> record (bsub3 fq mq))
-        forced)
+      if pair_moves || Array.exists (fun u -> u = v1 || u = v2) verts then begin
+        let k = Array.length verts in
+        let gam = Array.init k (fun i -> cost (bamul (affv verts.(i)) awb))
+        and sch = Array.init k (fun i -> cost (bamul (affv verts.(i)) awc)) in
+        let (mq, _), forced =
+          solve ~cycle:false ~gam:(Array.get gam) ~sch:(Array.get sch) k
+        in
+        (* the component minimum crossing zero changes which components
+           achieve the stage ratio *)
+        record mq;
+        Array.iter
+          (function None -> () | Some (fq, _) -> record (bsub3 fq mq))
+          forced
+      end)
     (Chain_fast.components path ~mask)
 
-(* distinct DP comparison differences recorded per [exact_candidates]
-   call, summed: the stage replay's work, as an exact count *)
+(* distinct non-constant DP comparison differences (primitive forms)
+   recorded per [exact_candidates] call, summed: the stage replay's
+   work, as an exact count *)
 let c_dp_candidates = Obs.Counter.make ~subsystem:"breakpoints" "dp_candidates"
+
+(* candidates whose real roots are extracted as surds by [Qx.roots2],
+   summed over pieces *)
+let c_root_extractions =
+  Obs.Counter.make ~subsystem:"breakpoints" "root_extractions"
+
+(* The candidate family of one sample, in y-coordinates: [d] is D, [py]
+   and [ytot] the sample and the total, and [cands] the distinct
+   primitive non-constant triples. *)
+type candidates = {
+  d : B.t;
+  py : B.t;
+  ytot : B.t;
+  cands : (B.t * B.t * B.t) list;
+}
 
 (* Candidate boundary polynomials of a structure's validity interval
    around the rational sample [p]: the decomposition is [structure]
@@ -208,25 +214,11 @@ let c_dp_candidates = Obs.Counter.make ~subsystem:"breakpoints" "dp_candidates"
      - wc_i - wb_i = 0           (alpha_i reaching 1),
      - wc_i*wb_{i+1} - wc_{i+1}*wb_i = 0   (adjacent alphas crossing)
    all keep their sign, together with the stage-DP differences from
-   [stage_dp_candidates] (which make the family complete — see there). *)
+   [stage_dp_candidates] (which make the family complete — see there).
+   A constant keeps its sign everywhere, so only triples with a nonzero
+   y or y² coefficient are kept. *)
 let exact_candidates path ~v1 ~v2 ~total ~p (structure : Decompose.t) =
-  let aff = affine_of_set path ~v1 ~v2 ~total in
-  let pairs =
-    List.map
-      (fun (p : Decompose.pair) -> (aff p.Decompose.b, aff p.Decompose.c))
-      structure
-  in
-  let per_pair =
-    List.concat_map
-      (fun (b, c) -> [ lin b; lin c; sub3 (lin c) (lin b) ])
-      pairs
-  in
-  let rec adjacent = function
-    | (b1, c1) :: ((b2, c2) :: _ as rest) ->
-        sub3 (amul c1 b2) (amul c2 b1) :: adjacent rest
-    | _ -> []
-  in
-  (* the common denominator D putting the stage DP in integer
+  (* the common denominator D putting the family in integer
      coordinates y = D·x: weights, total and the sample all become
      integers under y *)
   let d =
@@ -242,26 +234,39 @@ let exact_candidates path ~v1 ~v2 ~total ~p (structure : Decompose.t) =
     Q.num s
   in
   let py = scale p in
+  (* each pair's weights (B, C) in the scaled affine view:
+     value·D = (const·D) + slope·y *)
+  let pairs =
+    let aff set =
+      let c, s = affine_of_set path ~v1 ~v2 ~total set in
+      (scale c, s)
+    in
+    List.map
+      (fun (pr : Decompose.pair) -> (aff pr.Decompose.b, aff pr.Decompose.c))
+      structure
+  in
   (* The DP records one difference per comparison — hundreds of
      thousands on big paths, with heavy duplication (the same gap is
-     re-compared along the path).  Dedupe at record time, in the
-     integer domain, before any of them reaches the rational root
-     machinery: sign-normalise and key by the printed triple. *)
-  let dp_cands = ref [] in
+     re-compared along the path).  Dedupe at record time by primitive
+     form, before any of them reaches the root selection. *)
+  let cands = ref [] in
   let seen = BTriple.create 512 in
-  let record q =
-    if not (bis_zero3 q) then begin
-      let a, b, c = q in
-      let flip =
-        match B.sign a with 0 -> ( match B.sign b with 0 -> B.sign c | s -> s) | s -> s
-      in
-      let q = if flip < 0 then bneg3 q else q in
+  let record ((a, b, _) as q) =
+    if not (B.is_zero a && B.is_zero b) then begin
+      let q = primitive q in
       if not (BTriple.mem seen q) then begin
         BTriple.add seen q ();
-        dp_cands := q :: !dp_cands
+        cands := q :: !cands
       end
     end
   in
+  (* The stage solves replayed with every partial cost carried as a
+     quadratic in y: the [Chain_fast] DP kernel, its costs multiplied
+     through by wb_i so the stage charge −α_i·w_u becomes the polynomial
+     −wc_i·w_u.  Comparisons are resolved by exact evaluation at [py]
+     (ties keep the earlier branch) and every comparison difference is
+     recorded.  Each cost carries its value at [py] beside its
+     coefficients, so a comparison never re-evaluates a polynomial. *)
   let module Dp = Chain_fast.Make (struct
     type t = (B.t * B.t * B.t) * B.t
 
@@ -276,51 +281,133 @@ let exact_candidates path ~v1 ~v2 ~total ~p (structure : Decompose.t) =
           record (bsub3 qa qb);
           if B.compare va vb <= 0 then a else b
   end) in
-  let mask = ref (Graph.full_mask path) in
-  List.iter
-    (fun (pr : Decompose.pair) ->
-      stage_dp_candidates ~record ~solve:Dp.solve ~scale ~py path ~v1 ~v2
-        ~total ~mask:!mask pr;
-      mask := Vset.diff !mask (Vset.union pr.Decompose.b pr.Decompose.c))
-    structure;
+  Obs.Span.with_ "stage_replay" (fun () ->
+      let mask = ref (Graph.full_mask path) in
+      List.iter2
+        (fun (pr : Decompose.pair) weights ->
+          stage_dp_candidates ~record ~solve:Dp.solve ~scale ~py path ~v1 ~v2
+            ~total ~mask:!mask weights;
+          mask := Vset.diff !mask (Vset.union pr.Decompose.b pr.Decompose.c))
+        structure pairs);
   Obs.Counter.add c_dp_candidates (BTriple.length seen);
-  (* back to x-coordinates: q'(y) = A·y² + B·y + C with y = D·x is
-     A·D²·x² + B·D·x + C *)
-  let d2 = B.mul d d in
-  let dp_cands =
-    List.rev_map
-      (fun (a, b, c) ->
-        (Q.of_bigint (B.mul a d2), Q.of_bigint (B.mul b d), Q.of_bigint c))
-      !dp_cands
+  List.iter
+    (fun (b, c) ->
+      record (blin b);
+      record (blin c);
+      record (bsub3 (blin c) (blin b)))
+    pairs;
+  let rec adjacent = function
+    | (b1, c1) :: ((b2, c2) :: _ as rest) ->
+        record (bsub3 (bamul c1 b2) (bamul c2 b1));
+        adjacent rest
+    | _ -> ()
   in
-  per_pair @ adjacent pairs @ dp_cands
+  adjacent pairs;
+  { d; py; ytot = scale total; cands = !cands }
 
-(* All real roots of the candidates that fall strictly inside (0, w);
-   identically-zero candidates (a pair with B = C has wc - wb == 0)
-   impose no boundary.  The DP records arrive with heavy duplication
-   (the same gap shows up once per probe), so the candidates are
-   normalised — leading coefficient scaled to ±1, roots unchanged — and
-   deduplicated before the surd extraction. *)
-let candidate_roots ~w cands =
-  let normalise (a, b, c) =
-    if not (Q.is_zero a) then (Q.one, Q.div b a, Q.div c a)
-    else if not (Q.is_zero b) then (Q.zero, Q.one, Q.div c b)
-    else (Q.zero, Q.zero, if Q.is_zero c then Q.zero else Q.one)
-  in
-  let cmp3 (a1, b1, c1) (a2, b2, c2) =
-    match Q.compare a1 a2 with
-    | 0 -> ( match Q.compare b1 b2 with 0 -> Q.compare c1 c2 | n -> n)
-    | n -> n
-  in
-  let cands = List.sort_uniq cmp3 (List.map normalise cands) in
-  List.concat_map
-    (fun (a, b, c) ->
-      if Q.is_zero a && Q.is_zero b && Q.is_zero c then []
-      else
-        List.filter
-          (fun r -> Qx.compare_q r Q.zero > 0 && Qx.compare_q r w < 0)
-          (Qx.roots2 ~a ~b ~c))
-    cands
+(* Nearest-root selection, first pass, in integers only.  A real root of
+   a primitive triple is bracketed in y as [lo/den, hi/den] (den > 0);
+   an irrational root's bracket comes from the integer square root of
+   the discriminant and has width 1/(2a). *)
+type bracket = { lo : B.t; hi : B.t; den : B.t }
+
+(* n1/d1 ≤ n2/d2 for positive denominators *)
+let qle (n1, d1) (n2, d2) = B.compare (B.mul n1 d2) (B.mul n2 d1) <= 0
+
+(* The nearest real root on each side of the sample [py], bracketed, as
+   [Some (left, right)]; [None] when [py] is itself a root.  Which side
+   a root lies on follows from the signs of f(py) and f'(py) = 2a·py + b:
+   with a > 0, f(py) < 0 puts one root on each side, and f(py) > 0 puts
+   both on the side f' points away from. *)
+let nearest_brackets py ((a, b, c) as q) =
+  let fp = B.sign (beval3 q py) in
+  if fp = 0 then None
+  else if B.is_zero a then
+    (* b > 0: f increases through its root −c/b *)
+    let r = Some { lo = B.neg c; hi = B.neg c; den = b } in
+    Some (if fp < 0 then (None, r) else (r, None))
+  else
+    let disc = B.sub (B.mul b b) (B.mul (B.mul_int a 4) c) in
+    if B.sign disc < 0 then Some (None, None)
+    else
+      let s = Qx.isqrt disc in
+      let e = if B.equal (B.mul s s) disc then B.zero else B.one in
+      let den = B.mul_int a 2 and nb = B.neg b in
+      (* r− ∈ [(−b−s−e)/2a, (−b−s)/2a], r+ ∈ [(−b+s)/2a, (−b+s+e)/2a] *)
+      let rminus = { lo = B.sub (B.sub nb s) e; hi = B.sub nb s; den }
+      and rplus = { lo = B.add nb s; hi = B.add (B.add nb s) e; den } in
+      if fp < 0 then Some (Some rminus, Some rplus)
+      else if B.sign (B.add (B.mul den py) b) > 0 then Some (Some rplus, None)
+      else Some (None, Some rminus)
+
+(* All real roots in (0, w) of the candidates that can bound the piece
+   around the sample, or [None] when the sample sits on a root.  Only
+   the nearest root on each side of the sample bounds the piece, so the
+   first pass keeps a candidate only when its nearest-root bracket
+   reaches U (the least upper bracket end on the right, capped at D·w)
+   or L (the greatest lower end on the left, floored at 0).  The tests
+   are non-strict: every candidate with a root equal to the bound
+   survives, which matters because [Qx] keeps d only non-square, not
+   square-free ([sqrt_q 8] prints [0+1*sqrt(8)], twice [sqrt_q 2] prints
+   [0+2*sqrt(2)]), and the first of equal roots in the sorted order
+   below is the one a piece reports.  The second pass is the exact
+   route on the survivors: x-normalise (leading coefficient 1, roots
+   unchanged), [sort_uniq], [Qx.roots2]. *)
+let candidate_roots ~w { d; py; ytot; cands } =
+  let exception On_root in
+  match
+    Obs.Span.with_ "root_select" (fun () ->
+        List.map
+          (fun q ->
+            match nearest_brackets py q with
+            | None -> raise On_root
+            | Some sides -> (q, sides))
+          cands)
+  with
+  | exception On_root -> None
+  | bracketed ->
+      let u = ref (ytot, B.one) and l = ref (B.zero, B.one) in
+      List.iter
+        (fun (_, (left, right)) ->
+          Option.iter
+            (fun r -> if not (qle !u (r.hi, r.den)) then u := (r.hi, r.den))
+            right;
+          Option.iter
+            (fun r -> if not (qle (r.lo, r.den) !l) then l := (r.lo, r.den))
+            left)
+        bracketed;
+      let reaches (left, right) =
+        (match right with Some r -> qle (r.lo, r.den) !u | None -> false)
+        || match left with Some r -> qle !l (r.hi, r.den) | None -> false
+      in
+      let survivors =
+        List.filter_map
+          (fun (q, sides) -> if reaches sides then Some q else None)
+          bracketed
+      in
+      Obs.Span.with_ "root_extract" @@ fun () ->
+      (* back to x-coordinates: a·y² + b·y + c with y = D·x is
+         a·D²·x² + b·D·x + c *)
+      let normalise (a, b, c) =
+        if B.is_zero a then (Q.zero, Q.one, Q.make c (B.mul b d))
+        else
+          let ad = B.mul a d in
+          (Q.one, Q.make b ad, Q.make c (B.mul ad d))
+      in
+      let cmp3 (a1, b1, c1) (a2, b2, c2) =
+        match Q.compare a1 a2 with
+        | 0 -> ( match Q.compare b1 b2 with 0 -> Q.compare c1 c2 | n -> n)
+        | n -> n
+      in
+      let survivors = List.sort_uniq cmp3 (List.map normalise survivors) in
+      Obs.Counter.add c_root_extractions (List.length survivors);
+      Some
+        (List.concat_map
+           (fun (a, b, c) ->
+             List.filter
+               (fun r -> Qx.compare_q r Q.zero > 0 && Qx.compare_q r w < 0)
+               (Qx.roots2 ~a ~b ~c))
+           survivors)
 
 (* The maximal interval around the rational sample [p] on which the
    decomposition of [path_at p] keeps the structure observed at [p].
@@ -333,23 +420,23 @@ let exact_piece_at_core ~dctx ~path_at ~v1 ~v2 ~total:w p =
   let path = path_at p in
   let structure = Decompose.compute ~ctx:dctx path in
   let cands = exact_candidates path ~v1 ~v2 ~total:w ~p structure in
-  let roots = candidate_roots ~w cands in
-  if List.exists (fun r -> Qx.compare_q r p = 0) roots then
-    (* the sample itself sits on a boundary: a degenerate point piece *)
-    { xlo = Qx.of_q p; xhi = Qx.of_q p; sample = p; structure }
-  else
-    let xlo =
-      List.fold_left
-        (fun acc r ->
-          if Qx.compare_q r p < 0 && Qx.compare acc r < 0 then r else acc)
-        (Qx.of_q Q.zero) roots
-    and xhi =
-      List.fold_left
-        (fun acc r ->
-          if Qx.compare_q r p > 0 && Qx.compare acc r > 0 then r else acc)
-        (Qx.of_q w) roots
-    in
-    { xlo; xhi; sample = p; structure }
+  match candidate_roots ~w cands with
+  | None ->
+      (* the sample itself sits on a boundary: a degenerate point piece *)
+      { xlo = Qx.of_q p; xhi = Qx.of_q p; sample = p; structure }
+  | Some roots ->
+      let xlo =
+        List.fold_left
+          (fun acc r ->
+            if Qx.compare_q r p < 0 && Qx.compare acc r < 0 then r else acc)
+          (Qx.of_q Q.zero) roots
+      and xhi =
+        List.fold_left
+          (fun acc r ->
+            if Qx.compare_q r p > 0 && Qx.compare acc r > 0 then r else acc)
+          (Qx.of_q w) roots
+      in
+      { xlo; xhi; sample = p; structure }
 
 (* The full piece enumeration over [0, total], generic in [path_at]
    (same contract as [exact_piece_at_core]); [cost] is the budget charge

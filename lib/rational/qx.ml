@@ -16,32 +16,30 @@ type t = { q : Q.t; r : Q.t; d : Bigint.t }
 (* Integer square root                                                 *)
 (* ------------------------------------------------------------------ *)
 
+(* Newton's iteration x <- (x + n/x) / 2 from any start x0 >= sqrt n
+   decreases strictly until it reaches floor (sqrt n), then stops
+   decreasing.  It starts from the power of two above the radicand's
+   bit-length bound, and runs on native ints when the radicand fits one
+   (x + n/x then stays below 2^33). *)
 let isqrt n =
   let sn = Bigint.sign n in
   if sn < 0 then invalid_arg "Qx.isqrt: negative input";
   if sn = 0 then Bigint.zero
-  else begin
-    (* Newton from an over-estimate: 10^ceil(digits/2) >= sqrt n. *)
-    let digits = String.length (Bigint.to_string n) in
-    let x0 = Bigint.pow (Bigint.of_int 10) ((digits + 1) / 2) in
-    let rec go x =
-      let x' = Bigint.div (Bigint.add x (Bigint.div n x)) Bigint.two in
-      if Bigint.compare x' x >= 0 then x else go x'
-    in
-    let x = go x0 in
-    (* Defensive fix-up; Newton with the bounds above lands exactly, so
-       these loops run zero iterations in practice. *)
-    let x = ref x in
-    while Bigint.compare (Bigint.mul !x !x) n > 0 do
-      x := Bigint.pred !x
-    done;
-    while
-      Bigint.compare (Bigint.mul (Bigint.succ !x) (Bigint.succ !x)) n <= 0
-    do
-      x := Bigint.succ !x
-    done;
-    !x
-  end
+  else
+    let k = (Bigint.bits_bound n + 1) / 2 in
+    match Bigint.to_int n with
+    | Some m ->
+        let rec go x =
+          let x' = (x + (m / x)) / 2 in
+          if x' >= x then x else go x'
+        in
+        Bigint.of_int (go (1 lsl k))
+    | None ->
+        let rec go x =
+          let x' = Bigint.div (Bigint.add x (Bigint.div n x)) Bigint.two in
+          if Bigint.compare x' x >= 0 then x else go x'
+        in
+        go (Bigint.pow Bigint.two k)
 
 (* ------------------------------------------------------------------ *)
 (* Construction                                                        *)

@@ -237,6 +237,17 @@ let fast_slow_props =
         && canonical (F.slow_mul x y));
     Helpers.qtest ~count:500 "string roundtrip at boundaries"
       boundary_int_gen (fun x -> roundtrips (b x));
+    (* |x| < 2^k for k = bits_bound x, exact on immediates *)
+    Helpers.qtest "bits_bound bounds |x|" Helpers.bigint_gen (fun x ->
+        let k = B.bits_bound x in
+        B.compare (B.abs x) (B.pow B.two k) < 0
+        && (B.is_zero x || B.compare (B.abs x) (B.pow B.two (k - 1)) >= 0
+            || not (F.is_small x)));
+    Helpers.qtest ~count:500 "bits_bound at boundaries" boundary_int_gen
+      (fun x ->
+        let k = B.bits_bound (b x) in
+        B.compare (B.abs (b x)) (B.pow B.two k) < 0
+        && (x = 0 || B.compare (B.abs (b x)) (B.pow B.two (k - 1)) >= 0));
   ]
 
 let props =

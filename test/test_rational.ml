@@ -152,6 +152,69 @@ let test_qx_normal_form () =
   check_qx "sqrt 8 / sqrt 2" "2" (Qx.div s8 s2);
   check_qx "(1 + sqrt 2) - sqrt 8 / 2" "1" (Qx.sub (Qx.add_q s2 Q.one) (Qx.div_q s8 Q.two))
 
+(* [Qx.isqrt] as it was before it ran on native ints: Newton from
+   10^ceil(digits/2), sized through the decimal string.  The reference
+   the current one must agree with. *)
+let isqrt_decimal n =
+  if B.is_zero n then B.zero
+  else
+    let digits = String.length (B.to_string n) in
+    let rec go x =
+      let x' = B.div (B.add x (B.div n x)) B.two in
+      if B.compare x' x >= 0 then x else go x'
+    in
+    go (B.pow (B.of_int 10) ((digits + 1) / 2))
+
+(* isqrt n is the floor of the square root: s² ≤ n < (s + 1)².  Covered:
+   perfect squares and their neighbours, native and multi-limb; the
+   native-int edge around 2^62 and max_int; powers of 2 and 10 up to
+   ~200 bits; and a seeded sample of 1..40-digit radicands checked
+   against the decimal-start Newton. *)
+let test_qx_isqrt () =
+  let check n =
+    let s = Qx.isqrt n in
+    let s1 = B.succ s in
+    Alcotest.(check bool)
+      (Printf.sprintf "isqrt %s = %s" (B.to_string n) (B.to_string s))
+      true
+      (B.sign s >= 0 && B.compare (B.mul s s) n <= 0 && B.compare n (B.mul s1 s1) < 0)
+  in
+  let around n =
+    List.iter
+      (fun d ->
+        let m = B.add_int n d in
+        if B.sign m >= 0 then check m)
+      [ -1; 0; 1 ]
+  in
+  List.iter
+    (fun r -> around (B.mul r r))
+    (List.map B.of_int
+       [ 1; 2; 3; 7; 1000; 46_340; 1 lsl 31; 3_037_000_499; 3_037_000_500 ]
+    @ [ B.pow B.two 40; B.pow (B.of_int 10) 20;
+        B.of_string "123456789012345678901234567890" ]);
+  List.iter around
+    [ B.of_int max_int; B.of_int (max_int - 1); B.pow B.two 62; B.pow B.two 61;
+      B.add (B.of_int max_int) (B.of_int max_int) ];
+  for k = 0 to 200 do
+    around (B.pow B.two k);
+    if k <= 60 then around (B.pow (B.of_int 10) k)
+  done;
+  Alcotest.(check string) "isqrt 0" "0" (B.to_string (Qx.isqrt B.zero));
+  Alcotest.check_raises "isqrt -1" (Invalid_argument "Qx.isqrt: negative input")
+    (fun () -> ignore (Qx.isqrt B.minus_one));
+  let rng = Prng.create 41 in
+  for _ = 1 to 2000 do
+    let digits = 1 + Prng.int rng 40 in
+    let n =
+      B.of_string (String.init digits (fun _ -> Char.chr (48 + Prng.int rng 10)))
+    in
+    check n;
+    Alcotest.(check string)
+      ("decimal-start Newton agrees on " ^ B.to_string n)
+      (B.to_string (isqrt_decimal n))
+      (B.to_string (Qx.isqrt n))
+  done
+
 (* Finite-only generator pairs. *)
 let gen2 = QCheck2.Gen.pair Helpers.rational_gen Helpers.rational_gen
 let gen3 =
@@ -208,6 +271,8 @@ let () =
           Alcotest.test_case "to_float" `Quick test_to_float;
           Alcotest.test_case "Qx arithmetic keeps make's normal form" `Quick
             test_qx_normal_form;
+          Alcotest.test_case "Qx.isqrt is the floor square root" `Quick
+            test_qx_isqrt;
         ] );
       ("properties", props);
     ]
