@@ -83,23 +83,6 @@ type exact_piece = {
 
 type exact_event = { at : Qx.t; left : Decompose.t; right : Decompose.t }
 
-(* Weight of [set] in the split path as an affine function [const +
-   slope*x] of the split parameter x = w(v1): every vertex other than
-   the two identities keeps its weight, v1 carries x and v2 carries
-   total - x. *)
-let affine_of_set path ~v1 ~v2 ~total set =
-  let const =
-    List.fold_left
-      (fun acc u ->
-        if u = v1 || u = v2 then acc else Q.add acc (Graph.weight path u))
-      (if Vset.mem v2 set then total else Q.zero)
-      (Vset.elements set)
-  in
-  let slope =
-    (if Vset.mem v1 set then 1 else 0) - if Vset.mem v2 set then 1 else 0
-  in
-  (const, slope)
-
 (* Every candidate boundary is a degree-≤2 polynomial kept as an integer
    coefficient triple (a, b, c) for a·y² + b·y + c in the scaled
    parameter y = D·x (D a common denominator of the weights, the total
@@ -107,8 +90,6 @@ let affine_of_set path ~v1 ~v2 ~total set =
    [Bigint] — no rational normalisation on the hot path. *)
 module B = Bigint
 
-let bzero3 = (B.zero, B.zero, B.zero)
-let badd3 (a1, b1, c1) (a2, b2, c2) = (B.add a1 a2, B.add b1 b2, B.add c1 c2)
 let bsub3 (a1, b1, c1) (a2, b2, c2) = (B.sub a1 a2, B.sub b1 b2, B.sub c1 c2)
 let beval3 (a, b, c) py = B.add (B.mul (B.add (B.mul a py) b) py) c
 
@@ -129,68 +110,242 @@ let primitive (a, b, c) =
   let g = if B.sign a < 0 || (B.is_zero a && B.sign b < 0) then B.neg g else g in
   if B.equal g B.one then (a, b, c) else (B.div a g, B.div b g, B.div c g)
 
-(* Hash set over primitive triples: one entry per distinct candidate. *)
-module BTriple = Hashtbl.Make (struct
-  type t = B.t * B.t * B.t
+(* [primitive] on native ints, for the native-int replay. *)
+let primitive_int a b c =
+  let rec gcd x y = if y = 0 then abs x else gcd y (x mod y) in
+  let g = gcd (gcd a b) c in
+  let g = if a < 0 || (a = 0 && b < 0) then -g else g in
+  (B.of_int (a / g), B.of_int (b / g), B.of_int (c / g))
 
-  let equal (a1, b1, c1) (a2, b2, c2) =
-    B.equal a1 a2 && B.equal b1 b2 && B.equal c1 c2
+(* A hash set of triples emptied in O(1): a slot is live only while its
+   stamp is the current generation, so [clear] bumps the generation.
+   Linear probing over a power-of-two table that doubles at half load;
+   slot i keeps its triple at keys.(3i .. 3i+2).  The sweep allocates
+   its sets once and clears them per sample: per-sample tables past the
+   minor heap's size limit are allocated straight on the major heap. *)
+module Stamped (E : sig
+  include Hashtbl.HashedType
 
-  let hash (a, b, c) = (((B.hash a * 31) + B.hash b) * 31) + B.hash c
+  val zero : t
+end) =
+struct
+  type t = {
+    mutable gen : int;
+    mutable size : int;
+    mutable stamps : int array;
+    mutable keys : E.t array;
+  }
+
+  let create () =
+    let slots = 64 in
+    {
+      gen = 1;
+      size = 0;
+      stamps = Array.make slots 0;
+      keys = Array.make (3 * slots) E.zero;
+    }
+
+  let clear t =
+    t.gen <- t.gen + 1;
+    t.size <- 0
+
+  let length t = t.size
+
+  (* add (a, b, c); true when it was not yet present *)
+  let rec add t a b c =
+    let mask = Array.length t.stamps - 1 and k = t.keys in
+    let rec probe i =
+      if not (Int.equal t.stamps.(i) t.gen) then i
+      else if E.equal k.(3 * i) a && E.equal k.((3 * i) + 1) b
+              && E.equal k.((3 * i) + 2) c
+      then -1
+      else probe ((i + 1) land mask)
+    in
+    let mix h x = (h * 0x9E3779B97F4A7C1) + E.hash x in
+    let h = mix (mix (E.hash a) b) c in
+    let i = probe ((h lxor (h lsr 29)) land mask) in
+    if i < 0 then false
+    else if 2 * (t.size + 1) > Array.length t.stamps then begin
+      grow t;
+      add t a b c
+    end
+    else begin
+      t.stamps.(i) <- t.gen;
+      k.(3 * i) <- a;
+      k.((3 * i) + 1) <- b;
+      k.((3 * i) + 2) <- c;
+      t.size <- t.size + 1;
+      true
+    end
+
+  and grow t =
+    let stamps = t.stamps and keys = t.keys in
+    t.stamps <- Array.make (2 * Array.length stamps) 0;
+    t.keys <- Array.make (2 * Array.length keys) E.zero;
+    t.size <- 0;
+    Array.iteri
+      (fun i s ->
+        if Int.equal s t.gen then
+          ignore (add t keys.(3 * i) keys.((3 * i) + 1) keys.((3 * i) + 2)))
+      stamps
+end
+
+(* Primitive triples: one entry per distinct candidate. *)
+module Prims = Stamped (B)
+
+(* Raw difference triples of the native-int replay ([add] mixes the
+   components itself). *)
+module Raws = Stamped (struct
+  include Int
+
+  let hash x = x
 end)
 
-(* Sensitivity analysis of one greedy stage.  The stage-i solve finds the
-   maximal minimiser of w(Γ(S)) − α_i·w(S) over the masked subgraph — one
-   4-state DP plus one forced-vertex probe per position, per component
-   ([Chain_fast]).  While none of the comparison differences those DPs
-   resolve changes sign, and none of the per-component minima or
-   forced-vs-free gaps (which decide maximal-minimiser membership)
+module Masks = Hashtbl.Make (struct
+  type t = Vset.t
+
+  let equal = Vset.equal
+  let hash s = Vset.fold (fun v h -> (h * 31) + v) s 0
+end)
+
+(* What one sweep's samples share: the components of each stage mask
+   (the split graph's edges do not move with x, so neither do they) and
+   the two record-time dedupe sets, cleared per sample. *)
+type tables = {
+  comps : Chain_fast.component list Masks.t;
+  raws : Raws.t;
+  prims : Prims.t;
+}
+
+let tables () =
+  { comps = Masks.create 16; raws = Raws.create (); prims = Prims.create () }
+
+(* A replay cost: a·y² + b·y + c and its value v at the sample. *)
+type 'n cost = { a : 'n; b : 'n; c : 'n; v : 'n }
+
+let map2 f p q =
+  { a = f p.a q.a; b = f p.b q.b; c = f p.c q.c; v = f p.v q.v }
+
+module type SCALAR = sig
+  type t
+
+  val zero : t
+  val one : t
+  val neg : t -> t
+  val add : t -> t -> t
+  val sub : t -> t -> t
+  val mul : t -> t -> t
+  val compare : t -> t -> int
+  val of_bigint : B.t -> t
+end
+
+(* Sensitivity analysis of the greedy stages.  The stage-i solve finds
+   the maximal minimiser of w(Γ(S)) − α_i·w(S) over the masked subgraph
+   — one 4-state DP plus one forced-vertex probe per position, per
+   component ([Chain_fast]).  While none of the comparison differences
+   those DPs resolve changes sign, and none of the per-component minima
+   or forced-vs-free gaps (which decide maximal-minimiser membership)
    crosses zero, every stage re-derives exactly the same pair, so the
    decomposition is constant.  The recorded roots are therefore a
    complete superset of the structure's event boundaries: basic shape
-   conditions alone would miss a pair splitting when some proper subset's
-   ratio crosses α_i, which only these DP gaps can see.  [solve] is the
-   recording kernel instance, and [(awb, awc)] the stage pair's weights
-   (B, C) as scaled affine functions of y.
+   conditions alone would miss a pair splitting when some proper
+   subset's ratio crosses α_i, which only these DP gaps can see.
 
-   A component that holds neither identity, at a stage whose pair
-   weights do not move with x, has constant costs: every difference it
-   could record is a constant, which has no root, so its DP is not
-   replayed at all. *)
-let stage_dp_candidates ~record ~solve ~scale ~py path ~v1 ~v2 ~total ~mask
-    (((_, sb) as awb), ((_, sc) as awc)) =
-  let pair_moves = sb <> 0 || sc <> 0 in
-  let affv u =
-    if u = v1 then (B.zero, 1)
-    else if u = v2 then (scale total, -1)
-    else (scale (Graph.weight path u), 0)
-  in
-  let cost q = (q, beval3 q py) in
-  List.iter
-    (fun (comp : Chain_fast.component) ->
-      (* split graphs are paths, so masked components cannot be cycles *)
-      assert (not comp.Chain_fast.cycle);
-      let verts = comp.Chain_fast.verts in
-      if pair_moves || Array.exists (fun u -> u = v1 || u = v2) verts then begin
-        let k = Array.length verts in
-        let gam = Array.init k (fun i -> cost (bamul (affv verts.(i)) awb))
-        and sch = Array.init k (fun i -> cost (bamul (affv verts.(i)) awc)) in
-        let (mq, _), forced =
-          solve ~cycle:false ~gam:(Array.get gam) ~sch:(Array.get sch) k
-        in
-        (* the component minimum crossing zero changes which components
-           achieve the stage ratio *)
-        record mq;
-        Array.iter
-          (function None -> () | Some (fq, _) -> record (bsub3 fq mq))
-          forced
-      end)
-    (Chain_fast.components path ~mask)
+   The replay runs the [Chain_fast] kernel with every partial cost
+   carried as a quadratic in y, multiplied through by wb_i so the stage
+   charge −α_i·w_u becomes the polynomial −wc_i·w_u.  Comparisons are
+   resolved by the cost's value at the sample, which it carries beside
+   its coefficients (ties keep the earlier branch), and [record p q] is
+   told the difference p − q of every comparison.  It is written once
+   over the scalar: native ints when the sample's scale admits them
+   (DESIGN §16, [int_replay_bound]), Bigint otherwise. *)
+module Replay (N : SCALAR) = struct
+  let signed s x = if s = 0 then N.zero else if s > 0 then x else N.neg x
+
+  (* ω·P for the scaled affine functions ω = cw + sw·y and P = cp + sp·y
+     (slopes in {−1, 0, 1}), valued at [py] as the product of the two
+     values *)
+  let product py (cw, sw) (cp, sp) =
+    {
+      a = signed (sw * sp) N.one;
+      b = N.add (signed sp cw) (signed sw cp);
+      c = N.mul cw cp;
+      v = N.mul (N.add cw (signed sw py)) (N.add cp (signed sp py));
+    }
+
+  (* [stages] lists, per stage, the components to replay and the stage
+     pair's weights (B, C) as scaled affine functions of y; [ws] holds
+     the sample's scaled weights, [ytot] the scaled total. *)
+  let run ~record ~ws ~py ~ytot ~v1 ~v2 stages =
+    let zero = { a = N.zero; b = N.zero; c = N.zero; v = N.zero } in
+    let module Dp = Chain_fast.Make (struct
+      type t = N.t cost
+
+      let zero = zero
+
+      let add = map2 N.add
+      let sub = map2 N.sub
+
+      let better x y =
+        match (x, y) with
+        | None, z | z, None -> z
+        | Some p, Some q ->
+            record p q;
+            if N.compare p.v q.v <= 0 then x else y
+    end) in
+    let py = N.of_bigint py and ytot = N.of_bigint ytot in
+    let affv u =
+      if u = v1 then (N.zero, 1)
+      else if u = v2 then (ytot, -1)
+      else (N.of_bigint ws.(u), 0)
+    in
+    let aff (c, s) = (N.of_bigint c, s) in
+    List.iter
+      (fun (comps, awb, awc) ->
+        let awb = aff awb and awc = aff awc in
+        List.iter
+          (fun verts ->
+            let gam = Array.map (fun u -> product py (affv u) awb) verts
+            and sch = Array.map (fun u -> product py (affv u) awc) verts in
+            let mq, forced =
+              Dp.solve ~cycle:false ~gam:(Array.get gam) ~sch:(Array.get sch)
+                (Array.length verts)
+            in
+            (* the component minimum crossing zero changes which
+               components achieve the stage ratio *)
+            record mq zero;
+            Array.iter (function None -> () | Some fq -> record fq mq) forced)
+          comps)
+      stages
+end
+
+module Replay_int = Replay (struct
+  include Int
+
+  let of_bigint = B.to_int_exn
+end)
+
+module Replay_big = Replay (struct
+  include B
+
+  let of_bigint x = x
+end)
+
+(* The native-int replay's admission bound on T, the path's total
+   weight in y-units: every coefficient, value and intermediate of the
+   replay is at most 2·T² in magnitude (DESIGN §16), and this is the
+   largest T with 2·T² ≤ max_int. *)
+let int_replay_bound = B.to_int_exn (Qx.isqrt (B.of_int (max_int / 2)))
 
 (* distinct non-constant DP comparison differences (primitive forms)
    recorded per [exact_candidates] call, summed: the stage replay's
    work, as an exact count *)
 let c_dp_candidates = Obs.Counter.make ~subsystem:"breakpoints" "dp_candidates"
+
+(* samples whose stage replay ran on native ints, and on Bigint *)
+let c_int_replays = Obs.Counter.make ~subsystem:"breakpoints" "int_replays"
+let c_bigint_replays =
+  Obs.Counter.make ~subsystem:"breakpoints" "bigint_replays"
 
 (* candidates whose real roots are extracted as surds by [Qx.roots2],
    summed over pieces *)
@@ -214,33 +369,37 @@ type candidates = {
      - wc_i - wb_i = 0           (alpha_i reaching 1),
      - wc_i*wb_{i+1} - wc_{i+1}*wb_i = 0   (adjacent alphas crossing)
    all keep their sign, together with the stage-DP differences from
-   [stage_dp_candidates] (which make the family complete — see there).
-   A constant keeps its sign everywhere, so only triples with a nonzero
-   y or y² coefficient are kept. *)
-let exact_candidates path ~v1 ~v2 ~total ~p (structure : Decompose.t) =
+   [Replay] (which make the family complete — see there).  A constant
+   keeps its sign everywhere, so only triples with a nonzero y or y²
+   coefficient are kept.  [bigint] forces the Bigint replay. *)
+let exact_candidates ~tables ~bigint path ~v1 ~v2 ~total ~p
+    (structure : Decompose.t) =
+  let weights = Graph.weights path in
   (* the common denominator D putting the family in integer
      coordinates y = D·x: weights, total and the sample all become
      integers under y *)
   let d =
     let lcm a b = B.mul (B.div a (B.gcd a b)) b in
     let acc = ref (lcm (Q.den total) (Q.den p)) in
-    Array.iter (fun w -> acc := lcm !acc (Q.den w)) (Graph.weights path);
+    Array.iter (fun w -> acc := lcm !acc (Q.den w)) weights;
     !acc
   in
-  let dq = Q.of_bigint d in
-  let scale q =
-    let s = Q.mul q dq in
-    assert (B.equal (Q.den s) B.one);
-    Q.num s
-  in
-  let py = scale p in
+  let scale q = B.mul (Q.num q) (B.div d (Q.den q)) in
+  let ws = Array.map scale weights in
+  let py = scale p and ytot = scale total in
   (* each pair's weights (B, C) in the scaled affine view:
-     value·D = (const·D) + slope·y *)
-  let pairs =
-    let aff set =
-      let c, s = affine_of_set path ~v1 ~v2 ~total set in
-      (scale c, s)
+     value·D = (const·D) + slope·y, where v1 carries y and v2 the
+     total minus y *)
+  let aff set =
+    let const =
+      Vset.fold
+        (fun u acc -> if u = v1 || u = v2 then acc else B.add acc ws.(u))
+        set
+        (if Vset.mem v2 set then ytot else B.zero)
     in
+    (const, Bool.to_int (Vset.mem v1 set) - Bool.to_int (Vset.mem v2 set))
+  in
+  let pairs =
     List.map
       (fun (pr : Decompose.pair) -> (aff pr.Decompose.b, aff pr.Decompose.c))
       structure
@@ -250,46 +409,73 @@ let exact_candidates path ~v1 ~v2 ~total ~p (structure : Decompose.t) =
      re-compared along the path).  Dedupe at record time by primitive
      form, before any of them reaches the root selection. *)
   let cands = ref [] in
-  let seen = BTriple.create 512 in
-  let record ((a, b, _) as q) =
-    if not (B.is_zero a && B.is_zero b) then begin
-      let q = primitive q in
-      if not (BTriple.mem seen q) then begin
-        BTriple.add seen q ();
-        cands := q :: !cands
-      end
-    end
+  Raws.clear tables.raws;
+  Prims.clear tables.prims;
+  let add_primitive ((a, b, c) as q) =
+    if Prims.add tables.prims a b c then cands := q :: !cands
   in
-  (* The stage solves replayed with every partial cost carried as a
-     quadratic in y: the [Chain_fast] DP kernel, its costs multiplied
-     through by wb_i so the stage charge −α_i·w_u becomes the polynomial
-     −wc_i·w_u.  Comparisons are resolved by exact evaluation at [py]
-     (ties keep the earlier branch) and every comparison difference is
-     recorded.  Each cost carries its value at [py] beside its
-     coefficients, so a comparison never re-evaluates a polynomial. *)
-  let module Dp = Chain_fast.Make (struct
-    type t = (B.t * B.t * B.t) * B.t
-
-    let zero = (bzero3, B.zero)
-    let add (q1, v1) (q2, v2) = (badd3 q1 q2, B.add v1 v2)
-    let sub (q1, v1) (q2, v2) = (bsub3 q1 q2, B.sub v1 v2)
-
-    let better a b =
-      match (a, b) with
-      | None, x | x, None -> x
-      | Some (qa, va), Some (qb, vb) ->
-          record (bsub3 qa qb);
-          if B.compare va vb <= 0 then a else b
-  end) in
+  let record ((a, b, _) as q) =
+    if not (B.is_zero a && B.is_zero b) then add_primitive (primitive q)
+  in
   Obs.Span.with_ "stage_replay" (fun () ->
+      (* The stages to replay, each with its components.  A component
+         that holds neither identity, at a stage whose pair weights do
+         not move with x, has constant costs: every difference it could
+         record is a constant, which has no root, so it is skipped. *)
+      let components mask =
+        match Masks.find_opt tables.comps mask with
+        | Some comps -> comps
+        | None ->
+            let comps =
+              Obs.Span.with_ "components" (fun () ->
+                  Chain_fast.components path ~mask)
+            in
+            Masks.add tables.comps mask comps;
+            comps
+      in
       let mask = ref (Graph.full_mask path) in
-      List.iter2
-        (fun (pr : Decompose.pair) weights ->
-          stage_dp_candidates ~record ~solve:Dp.solve ~scale ~py path ~v1 ~v2
-            ~total ~mask:!mask weights;
-          mask := Vset.diff !mask (Vset.union pr.Decompose.b pr.Decompose.c))
-        structure pairs);
-  Obs.Counter.add c_dp_candidates (BTriple.length seen);
+      let stages =
+        List.map2
+          (fun (pr : Decompose.pair) (((_, sb) as awb), ((_, sc) as awc)) ->
+            let pair_moves = sb <> 0 || sc <> 0 in
+            let comps =
+              List.filter_map
+                (fun (comp : Chain_fast.component) ->
+                  (* split graphs are paths, so masked components cannot
+                     be cycles *)
+                  assert (not comp.Chain_fast.cycle);
+                  let verts = comp.Chain_fast.verts in
+                  let identity u = u = v1 || u = v2 in
+                  if pair_moves || Array.exists identity verts then Some verts
+                  else None)
+                (components !mask)
+            in
+            mask := Vset.diff !mask (Vset.union pr.Decompose.b pr.Decompose.c);
+            (comps, awb, awc))
+          structure pairs
+      in
+      let t = Array.fold_left B.add B.zero ws in
+      if (not bigint) && B.compare t (B.of_int int_replay_bound) <= 0
+      then begin
+        Obs.Counter.incr c_int_replays;
+        (* Dedupe raw triples first: a hit costs no gcd.  Only a new raw
+           triple is reduced to its primitive form. *)
+        let record p q =
+          let a = p.a - q.a and b = p.b - q.b in
+          if a <> 0 || b <> 0 then begin
+            let c = p.c - q.c in
+            if Raws.add tables.raws a b c then
+              add_primitive (primitive_int a b c)
+          end
+        in
+        Replay_int.run ~record ~ws ~py ~ytot ~v1 ~v2 stages
+      end
+      else begin
+        Obs.Counter.incr c_bigint_replays;
+        let record p q = record (B.sub p.a q.a, B.sub p.b q.b, B.sub p.c q.c) in
+        Replay_big.run ~record ~ws ~py ~ytot ~v1 ~v2 stages
+      end);
+  Obs.Counter.add c_dp_candidates (Prims.length tables.prims);
   List.iter
     (fun (b, c) ->
       record (blin b);
@@ -303,7 +489,7 @@ let exact_candidates path ~v1 ~v2 ~total ~p (structure : Decompose.t) =
     | _ -> ()
   in
   adjacent pairs;
-  { d; py; ytot = scale total; cands = !cands }
+  { d; py; ytot; cands = !cands }
 
 (* Nearest-root selection, first pass, in integers only.  A real root of
    a primitive triple is bracketed in y as [lo/den, hi/den] (den > 0);
@@ -416,10 +602,12 @@ let candidate_roots ~w { d; py; ytot; cands } =
    DPs) only reads the two varying ids, the total and the fixed
    weights, so the same machinery serves both the Sybil split parameter
    and a generic two-vertex weight slice. *)
-let exact_piece_at_core ~dctx ~path_at ~v1 ~v2 ~total:w p =
+let exact_piece_at_core ~tables ~bigint ~dctx ~path_at ~v1 ~v2 ~total:w p =
   let path = path_at p in
   let structure = Decompose.compute ~ctx:dctx path in
-  let cands = exact_candidates path ~v1 ~v2 ~total:w ~p structure in
+  let cands =
+    exact_candidates ~tables ~bigint path ~v1 ~v2 ~total:w ~p structure
+  in
   match candidate_roots ~w cands with
   | None ->
       (* the sample itself sits on a boundary: a degenerate point piece *)
@@ -440,10 +628,12 @@ let exact_piece_at_core ~dctx ~path_at ~v1 ~v2 ~total:w p =
 
 (* The full piece enumeration over [0, total], generic in [path_at]
    (same contract as [exact_piece_at_core]); [cost] is the budget charge
-   per sampled point. *)
-let exact_pieces_core ~budget ~dctx ~cost ~path_at ~v1 ~v2 ~total:w =
+   per sampled point, and [bigint] forces the Bigint stage replay. *)
+let exact_pieces_core ?(bigint = false) ~budget ~dctx ~cost ~path_at ~v1 ~v2
+    ~total:w () =
   if Q.sign w <= 0 then []
   else begin
+    let tables = tables () in
     (* Recursive cover of (a, b): sample once, carve out the sampled
        structure's full validity interval, recurse on what remains.
        Every recursion step discovers one piece (or a boundary point),
@@ -454,14 +644,18 @@ let exact_pieces_core ~budget ~dctx ~cost ~path_at ~v1 ~v2 ~total:w =
       else begin
         Budget.tick ~cost budget;
         let p = Qx.rational_between a b in
-        let piece = exact_piece_at_core ~dctx ~path_at ~v1 ~v2 ~total:w p in
+        let piece =
+          exact_piece_at_core ~tables ~bigint ~dctx ~path_at ~v1 ~v2 ~total:w p
+        in
         let piece =
           { piece with xlo = Qx.max piece.xlo a; xhi = Qx.min piece.xhi b }
         in
         cover a piece.xlo @ (piece :: cover piece.xhi b)
       end
     in
-    let pieces = cover (Qx.of_q Q.zero) (Qx.of_q w) in
+    let pieces =
+      Obs.Span.with_ "cover" (fun () -> cover (Qx.of_q Q.zero) (Qx.of_q w))
+    in
     (* Merge touch points: a candidate root where the structure does not
        actually change (a double root grazing zero) splits the interval
        without an event; stitch such neighbours back together. *)
@@ -478,7 +672,7 @@ let exact_pieces_core ~budget ~dctx ~cost ~path_at ~v1 ~v2 ~total:w =
       | a :: rest -> a :: merge rest
       | [] -> []
     in
-    let pieces = merge pieces in
+    let pieces = Obs.Span.with_ "merge" (fun () -> merge pieces) in
     (* The decomposition exactly at a rational boundary can differ from
        both open sides (a merge event's merged pair lives only at the
        point); materialise those as degenerate point pieces.  Irrational
@@ -507,6 +701,15 @@ let exact_pieces_core ~budget ~dctx ~cost ~path_at ~v1 ~v2 ~total:w =
           else a :: interior rest
       | rest -> rest
     in
+    let rec with_last = function
+      | [ last ] ->
+          let pw = point_piece (Qx.of_q w) w in
+          if Decompose.same_structure pw.structure last.structure then [ last ]
+          else [ last; pw ]
+      | a :: rest -> a :: with_last rest
+      | [] -> []
+    in
+    Obs.Span.with_ "point_pieces" @@ fun () ->
     let pieces = interior pieces in
     let pieces =
       match pieces with
@@ -516,18 +719,10 @@ let exact_pieces_core ~budget ~dctx ~cost ~path_at ~v1 ~v2 ~total:w =
           else p0 :: pieces
       | [] -> []
     in
-    let rec with_last = function
-      | [ last ] ->
-          let pw = point_piece (Qx.of_q w) w in
-          if Decompose.same_structure pw.structure last.structure then [ last ]
-          else [ last; pw ]
-      | a :: rest -> a :: with_last rest
-      | [] -> []
-    in
     with_last pieces
   end
 
-let exact_split_pieces ?ctx g ~v =
+let exact_split_pieces_with ?bigint ?ctx g ~v =
   let ctx = Engine.Ctx.arm (Engine.Ctx.get ctx) in
   let budget = Engine.Ctx.budget_or_unlimited ctx in
   let dctx = Engine.Ctx.without_budget ctx in
@@ -536,9 +731,11 @@ let exact_split_pieces ?ctx g ~v =
   else begin
     let n = Graph.n g in
     let path_at x = (Sybil.split_free g ~v ~w1:x ~w2:(Q.sub w x)).Sybil.path in
-    exact_pieces_core ~budget ~dctx ~cost:(1 + n) ~path_at ~v1:v ~v2:n
-      ~total:w
+    exact_pieces_core ?bigint ~budget ~dctx ~cost:(1 + n) ~path_at ~v1:v ~v2:n
+      ~total:w ()
   end
+
+let exact_split_pieces ?ctx g ~v = exact_split_pieces_with ?ctx g ~v
 
 let exact_slice_pieces ?ctx base ~v1 ~v2 ~total =
   let ctx = Engine.Ctx.arm (Engine.Ctx.get ctx) in
@@ -562,7 +759,7 @@ let exact_slice_pieces ?ctx base ~v1 ~v2 ~total =
   let path_at x =
     Graph.with_weight (Graph.with_weight base v1 x) v2 (Q.sub total x)
   in
-  exact_pieces_core ~budget ~dctx ~cost:(1 + n) ~path_at ~v1 ~v2 ~total
+  exact_pieces_core ~budget ~dctx ~cost:(1 + n) ~path_at ~v1 ~v2 ~total ()
 
 let exact_split_events ?ctx g ~v =
   let pieces = exact_split_pieces ?ctx g ~v in
@@ -598,3 +795,18 @@ let classify_event ev ~v =
           && count_pairs_covering ev.before members_after = 2
   then `Merge
   else `Other
+
+module For_testing = struct
+  let int_replay_bound = int_replay_bound
+
+  let split_candidates ~bigint g ~v ~p =
+    let w = Graph.weight g v in
+    let path = (Sybil.split_free g ~v ~w1:p ~w2:(Q.sub w p)).Sybil.path in
+    let structure = Decompose.compute path in
+    (exact_candidates ~tables:(tables ()) ~bigint path ~v1:v ~v2:(Graph.n g)
+       ~total:w ~p structure)
+      .cands
+
+  let exact_split_pieces_bigint ?ctx g ~v =
+    exact_split_pieces_with ~bigint:true ?ctx g ~v
+end

@@ -107,3 +107,22 @@ val classify_event : event -> v:int -> [ `Merge | `Split | `Other ]
     [`Split] — [v]'s pair at [lo] breaks in two at [hi];
     [`Merge] — two pairs at [lo] combine into [v]'s pair at [hi];
     [`Other] — any other reshaping (changes far from [v]'s pair). *)
+
+(** Hooks for the differential test of the stage replay's two scalar
+    instances (DESIGN §16, "Native-int replay"). *)
+module For_testing : sig
+  val int_replay_bound : int
+  (** The largest scaled weight sum T = D·Σw at which a sample's stage
+      replay runs on native ints. *)
+
+  val split_candidates :
+    bigint:bool -> Graph.t -> v:int -> p:Rational.t ->
+    (Bigint.t * Bigint.t * Bigint.t) list
+  (** The candidate family (distinct primitive triples in y = D·x) that
+      certifies the piece of {!exact_split_pieces} around the sample
+      [w1 = p]; [bigint] forces the Bigint replay. *)
+
+  val exact_split_pieces_bigint :
+    ?ctx:Engine.Ctx.t -> Graph.t -> v:int -> exact_piece list
+  (** {!exact_split_pieces} with every sample replayed on Bigint. *)
+end

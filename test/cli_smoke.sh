@@ -331,6 +331,28 @@ for pin in uniform:8:6e7716c5a5794b9ee7ae94fc3c833682 \
     fails=$((fails + 1)); }
 done
 
+# 28. the exact sweep's stage replay runs on native ints only while the
+#     scaled weight sum fits its bound; weights over 2^40 and over primes
+#     above 10^6 push it past the bound, onto the Bigint replay.  The
+#     digests were recorded before the native-int replay existed, and
+#     --metrics shows the Bigint replay really ran.
+for pin in 7/1099511627776,2,9/1000003,4,3,5,8:670b01bffb3b2bf6b8015c3eda3b14ce \
+           3/1000003,5/1000033,2,11/4294967296,6:7012ba9d6717359ed09e809e95766cde; do
+  ring=${pin%%:*}; digest=${pin#*:}
+  rm -f "$tmpdir/replay.json"
+  "$cli" sybil --sweep exact --ring "$ring" --metrics="$tmpdir/replay.json" \
+    > "$tmpdir/replay.out" 2> /dev/null
+  expect "sybil --sweep exact --ring $ring" 0 $?
+  got=$(md5sum < "$tmpdir/replay.out" | cut -d' ' -f1)
+  [ "$got" = "$digest" ] || {
+    echo "FAIL: sybil --sweep exact --ring $ring digest $got, expected $digest" >&2
+    fails=$((fails + 1)); }
+  grep '"name": "bigint_replays"' "$tmpdir/replay.json" \
+    | grep -qv '"value": 0' || {
+    echo "FAIL: --ring $ring ran no Bigint stage replay" >&2
+    fails=$((fails + 1)); }
+done
+
 # 10. an unknown --obs-only subsystem is a spec error: exit 4, one line
 "$cli" decompose --fig1 --obs-only bogus > /dev/null 2> "$tmpdir/err"
 expect "unknown --obs-only subsystem" 4 $?

@@ -213,7 +213,9 @@ let test_exact_sees_hidden_even_events () =
    DP's transitions or tie-breaking that alters the recorded family
    fails here without any timing noise; the digest pins the exact
    representation of each boundary ([Qx] keeps a radicand only
-   non-square, so one value can print several ways).
+   non-square, so one value can print several ways).  It also pins how
+   many samples the stage replay ran on native ints and on Bigint: on
+   these integer rings every sample fits the native-int bound.
 
    With every distinct candidate rooted, 107,357 candidates reached
    [Qx.roots2] on this battery; the nearest-root selection roots only
@@ -258,9 +260,143 @@ let test_dp_work_pin () =
        every_candidate_rooted)
     6_326
     (Obs.counter_value d ~subsystem:"breakpoints" "root_extractions");
+  Alcotest.(check (pair int int)) "(native-int, Bigint) stage replays"
+    (2_718, 0)
+    ( Obs.counter_value d ~subsystem:"breakpoints" "int_replays",
+      Obs.counter_value d ~subsystem:"breakpoints" "bigint_replays" );
   Alcotest.(check int) "pieces" 1_355 pieces;
   Alcotest.(check string) "piece boundary representation"
     "cb0c6af7731ff95607f67a35f2481949" repr
+
+(* The stage replay runs on native ints when a sample's scaled weight
+   sum T = D·Σw is at most the replay's bound, and on Bigint otherwise
+   (DESIGN §16, "Native-int replay").  Both instances must certify the
+   same sorted candidate family at every piece's sample, and the same
+   pieces, over 200 rings: the perfbench weight distributions at
+   n = 4..12, weights a/2^40 and a/p for primes p > 10^6, and integer
+   rings whose weight sum is the bound or the bound + 1.  On those last
+   rings an integral sample puts T exactly at the bound or one past it,
+   and a half-integral one at twice the bound, where a bound one bit too
+   loose lets the native-int replay overflow. *)
+let test_int_replay_matches_bigint () =
+  let module B = Bigint in
+  let bound = Breakpoints.For_testing.int_replay_bound in
+  let rng = Prng.create 22 in
+  let dists =
+    Weights.[| Bimodal (1, 100, 0.3); Uniform (1, 100); Powerlaw (1000, 2.0) |]
+  in
+  let primes = [| 1_000_003; 1_000_033; 1_000_037; 1_000_039; 1_000_081 |] in
+  let over den n =
+    Array.init n (fun _ -> Q.make (B.of_int (Prng.int_in rng 1 100)) den)
+  in
+  (* [n] positive integer weights summing to [sum]: one heavy vertex
+     and small ones, or an even random split *)
+  let summing sum n ~heavy =
+    let ws =
+      Array.init (n - 1) (fun _ ->
+          if heavy then Prng.int_in rng 1 100
+          else Prng.int_in rng 1 (sum / n))
+    in
+    let rest = sum - Array.fold_left ( + ) 0 ws in
+    let ws = Array.append ws [| rest |] in
+    Prng.shuffle rng ws;
+    Array.map Q.of_int ws
+  in
+  let rings =
+    List.init 150 (fun i ->
+        Instances.ring ~seed:(i + 1) ~n:(4 + (i mod 9)) dists.(i mod 3))
+    @ List.init 15 (fun i ->
+          Graph.ring ~weights:(over (B.pow B.two 40) (4 + (i mod 5))))
+    @ List.init 15 (fun i ->
+          let n = 4 + (i mod 5) in
+          if i < 10 then
+            Graph.ring ~weights:(over (B.of_int primes.(i mod 5)) n)
+          else
+            Graph.ring
+              ~weights:
+                (Array.init n (fun u ->
+                     Q.of_ints (Prng.int_in rng 1 100) primes.(u mod 5))))
+    @ List.init 20 (fun i ->
+          Graph.ring
+            ~weights:
+              (summing (bound + (i mod 2)) (4 + (i mod 5)) ~heavy:(i < 10)))
+  in
+  let sorted cands =
+    List.sort compare
+      (List.map
+         (fun (a, b, c) -> (B.to_string a, B.to_string b, B.to_string c))
+         cands)
+  in
+  let pieces ps =
+    List.map
+      (fun (p : Breakpoints.exact_piece) ->
+        Printf.sprintf "%s %s %s %s" (Qx.to_string p.xlo) (Qx.to_string p.xhi)
+          (Q.to_string p.sample)
+          (Format.asprintf "%a" Decompose.pp p.structure))
+      ps
+  in
+  (* [f ()] with the replays it ran on each instance *)
+  let replays f =
+    let before = Obs.snapshot () in
+    let r = f () in
+    let d = Obs.diff (Obs.snapshot ()) before in
+    let count name = Obs.counter_value d ~subsystem:"breakpoints" name in
+    (r, count "int_replays", count "bigint_replays")
+  in
+  let ints = ref 0 and bigs = ref 0 in
+  Obs.set_metrics true;
+  Fun.protect
+    ~finally:(fun () -> Obs.set_metrics false)
+    (fun () ->
+      List.iteri
+        (fun i g ->
+          for v = 0 to Graph.n g - 1 do
+            let label = Printf.sprintf "ring %d, v = %d" i v in
+            let ps, ni, nb =
+              replays (fun () -> Breakpoints.exact_split_pieces g ~v)
+            in
+            ints := !ints + ni;
+            bigs := !bigs + nb;
+            Alcotest.(check (list string))
+              (label ^ ": pieces")
+              (pieces (Breakpoints.For_testing.exact_split_pieces_bigint g ~v))
+              (pieces ps);
+            List.iter
+              (fun (p : Breakpoints.exact_piece) ->
+                let family bigint =
+                  sorted
+                    (Breakpoints.For_testing.split_candidates ~bigint g ~v
+                       ~p:p.sample)
+                in
+                Alcotest.(check (list (triple string string string)))
+                  (Printf.sprintf "%s: family at %s" label
+                     (Q.to_string p.sample))
+                  (family true) (family false))
+              ps
+          done)
+        rings;
+      Alcotest.(check bool) "unforced sweeps ran both instances" true
+        (!ints > 0 && !bigs > 0);
+      (* the guard itself: at an integral sample of an integer ring, T is
+         the weight sum *)
+      List.iter
+        (fun (sum, expect_int) ->
+          let g = Graph.ring ~weights:(summing sum 5 ~heavy:true) in
+          let v = ref 0 in
+          for u = 1 to 4 do
+            if Q.compare (Graph.weight g u) (Graph.weight g !v) > 0 then v := u
+          done;
+          let _, ni, nb =
+            replays (fun () ->
+                Breakpoints.For_testing.split_candidates ~bigint:false g ~v:!v
+                  ~p:Q.one)
+          in
+          Alcotest.(check (pair int int))
+            (Printf.sprintf "T = bound + %d: (int, Bigint) replays"
+               (sum - bound))
+            (if expect_int then (1, 0) else (0, 1))
+            (ni, nb))
+        [ (bound, true); (bound + 1, false) ])
 
 let () =
   Alcotest.run "breakpoints"
@@ -275,6 +411,8 @@ let () =
           Alcotest.test_case "exact path sees hidden even events" `Quick
             test_exact_sees_hidden_even_events;
           Alcotest.test_case "parametric DP work pin" `Quick test_dp_work_pin;
+          Alcotest.test_case "native-int replay = Bigint replay" `Quick
+            test_int_replay_matches_bigint;
         ] );
       ("properties", continuity_prop :: split_scan_prop :: props);
     ]

@@ -233,7 +233,9 @@ let test_counters_tick () =
    change that alters how many splits are evaluated, how many pieces
    the sweep certifies or how often the chain driver leaves its int DP
    fails here without timing noise.  The witness splits j/2^40 are what
-   send components to the driver's scaled-Bigint fallback. *)
+   send components to the driver's scaled-Bigint fallback; the sweep's
+   own samples are small dyadics, so every stage replay runs on native
+   ints. *)
 let test_attack_work_pin () =
   let dists =
     Weights.[| Bimodal (1, 100, 0.3); Uniform (1, 100); Powerlaw (1000, 2.0) |]
@@ -256,7 +258,10 @@ let test_attack_work_pin () =
   Alcotest.(check int) "exact evaluations" 3_839
     (count "incentive" "exact_evals");
   Alcotest.(check int) "chain oracle calls" 43_617
-    (count "decomposition" "fastchain_oracle_calls")
+    (count "decomposition" "fastchain_oracle_calls");
+  Alcotest.(check (pair int int)) "(native-int, Bigint) stage replays"
+    (3_093, 0)
+    (count "breakpoints" "int_replays", count "breakpoints" "bigint_replays")
 
 let () =
   Alcotest.run "exact_sweep"

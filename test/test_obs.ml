@@ -155,6 +155,39 @@ let test_span_nesting () =
       Alcotest.(check bool) "split search decompositions nest" true
         (has "best_attack/best_split/decompose"))
 
+(* The exact sweep's spans nest under best_split_exact, down to the
+   piece walk and the stage replay's component walk, and turning them
+   on changes no certified value. *)
+let test_exact_span_nesting () =
+  let run () =
+    let ctx = Engine.Ctx.make ~sweep:Engine.Exact () in
+    let e = Incentive.best_attack_exact ~ctx (e1_ring ()) in
+    Printf.sprintf "%s %s %s %d %d"
+      (Qx.to_string e.Incentive.w1_exact)
+      (Qx.to_string e.Incentive.utility_exact)
+      (Qx.to_string e.Incentive.ratio_exact)
+      e.Incentive.pieces e.Incentive.events
+  in
+  let off = with_obs ~metrics:false run in
+  with_obs ~metrics:true ~spans:true (fun () ->
+      Alcotest.(check string) "same certified attack" off (run ());
+      let rs = Obs.Span.records () in
+      List.iter
+        (fun p ->
+          let path = "best_attack_exact/best_split_exact/" ^ p in
+          Alcotest.(check bool) path true
+            (List.exists
+               (fun (r : Obs.Span.record) ->
+                 String.equal r.path path && r.count > 0)
+               rs))
+        [
+          "cover";
+          "cover/stage_replay";
+          "cover/stage_replay/components";
+          "merge";
+          "point_pieces";
+        ])
+
 (* --- snapshot / diff / registry ----------------------------------- *)
 
 let c_test = Obs.Counter.make ~subsystem:"obs_test" "events"
@@ -283,6 +316,8 @@ let () =
           Alcotest.test_case "trace intervals identical under metrics" `Quick
             test_trace_identical;
           Alcotest.test_case "span nesting paths" `Quick test_span_nesting;
+          Alcotest.test_case "exact sweep span nesting" `Quick
+            test_exact_span_nesting;
         ] );
       ( "substrate",
         [
