@@ -139,7 +139,7 @@ let case_symbolic_verify n =
   let g = ring n in
   ( "attack",
     Printf.sprintf "symbolic/verify-theorem8/n=%d" n,
-    fun () -> ignore (Symbolic.verify_theorem8 ~ctx:(Engine.Ctx.make ~grid:12 ()) g ~v:0) )
+    fun () -> ignore (Symbolic.verify_theorem8 g ~v:0) )
 
 let case_bigint_mul digits =
   let x = Bigint.of_string (String.make digits '7') in

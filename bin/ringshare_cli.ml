@@ -14,7 +14,7 @@
      family     the tightness family zeta(k) = 2 - 1/(5k+1)
      audit      per-agent incentive-ratio audit of a network
      hunt       random search for high-incentive-ratio rings
-     verify     symbolic (Sturm) certificate that zeta_v <= 2
+     verify     exact per-piece certificate that zeta_v <= 2
      save       write the instance to a ringshare-graph file *)
 
 open Cmdliner
@@ -108,7 +108,8 @@ let solver_arg =
 let grid_arg =
   Arg.(value & opt (some int) None
        & info [ "grid" ] ~docv:"N"
-         ~doc:"Search grid resolution (default 32; hunt uses 12).")
+         ~doc:"Grid resolution of the sampled attack searches and of \
+               general's simplex (default 32; hunt uses 12).")
 
 let refine_arg =
   Arg.(value & opt (some int) None
@@ -382,21 +383,20 @@ let curve g ctx v samples () =
   | Error m -> Format.printf "Theorem 10: VIOLATED (%s)@." m
 
 let breaks g ctx v () =
-  let events = Breakpoints.scan ~ctx g ~v in
+  let events = Breakpoints.events (Breakpoints.exact_pieces ~ctx g ~v) in
   Format.printf "%d decomposition change events for x in [0, %s]@."
     (List.length events)
     (Q.to_string (Graph.weight g v));
   List.iter
-    (fun (ev : Breakpoints.event) ->
+    (fun (ev : Breakpoints.exact_event) ->
       let kind =
         match Breakpoints.classify_event ev ~v with
         | `Merge -> "merge"
         | `Split -> "split"
         | `Other -> "other"
       in
-      Format.printf "@[<v2>x in (%s, %s)  [%s]@,before: %a@,after:  %a@]@."
-        (Q.to_string ev.lo) (Q.to_string ev.hi) kind Decompose.pp ev.before
-        Decompose.pp ev.after)
+      Format.printf "@[<v2>x = %a  [%s]@,before: %a@,after:  %a@]@." Qx.pp
+        ev.at kind Decompose.pp ev.left Decompose.pp ev.right)
     events
 
 let trace g ctx v () =
@@ -477,23 +477,21 @@ let verify g ctx v () =
   match Symbolic.verify_theorem8 ~ctx g ~v with
   | Error m -> Format.printf "internal error: %s@." m
   | Ok r ->
-      Format.printf
-        "agent %d: honest U_v = %s; %d structure intervals, %d gap brackets@."
-        v (Q.to_string r.Symbolic.honest)
-        (List.length r.Symbolic.intervals)
-        (List.length r.Symbolic.gaps);
+      Format.printf "agent %d: honest U_v = %s; %d structure pieces@." v
+        (Q.to_string r.Symbolic.honest)
+        (List.length r.Symbolic.intervals);
       List.iter
         (fun (iv : Symbolic.interval) ->
           Format.printf
-            "  [%.5f, %.5f]  U(w1) = (%a) / (%a)@.                    bound 2*U_v: %s; best here %.5f@."
-            (Q.to_float iv.lo) (Q.to_float iv.hi) Poly.pp iv.num Poly.pp
+            "  [%.5f, %.5f]  U(w1) = (%a) / (%a)@.                    bound 2*U_v: %s; max here %a@."
+            (Qx.to_float iv.lo) (Qx.to_float iv.hi) Poly.pp iv.num Poly.pp
             iv.den
             (if iv.bound_holds then "PROVED" else "unproven")
-            (Q.to_float iv.best_here))
+            Qx.pp iv.best_here)
         r.Symbolic.intervals;
-      Format.printf "best attack utility found: %s (ratio %.5f)@."
-        (Q.to_string r.Symbolic.best_found)
-        (Q.to_float (Q.div r.Symbolic.best_found r.Symbolic.honest));
+      Format.printf "exact maximum attack utility: %a (ratio %.5f)@." Qx.pp
+        r.Symbolic.best_found
+        (Qx.to_float (Qx.div_q r.Symbolic.best_found r.Symbolic.honest));
       Format.printf "Theorem 8 for this agent: %s@."
         (if r.Symbolic.certified then "CERTIFIED (zeta_v <= 2)"
          else "NOT fully certified")

@@ -4,8 +4,8 @@
      1. computes the bottleneck decomposition and re-proves its
         alpha-optimality from an independent flow-witness certificate,
      2. symbolically proves Theorem 8's bound for the most vulnerable
-        agent (Sturm certificates on the attack-utility rational
-        function), and
+        agent (the exact maximum of the attack-utility rational function
+        on every structure-constant piece), and
      3. round-trips the instance through the on-disk format.
 
    Nothing in the report rests on trusting a single solver: the
@@ -33,12 +33,13 @@ let audit name g =
   let worst = Incentive.best_attack ~ctx:(Engine.Ctx.make ~grid:8 ~refine:1 ()) g in
   Format.printf "most exposed agent: %d (sampled ratio %.4f)@." worst.v
     (Incentive.ratio_of_attack worst);
-  (match Symbolic.verify_theorem8 ~ctx:(Engine.Ctx.make ~grid:24 ()) g ~v:worst.v with
+  (match Symbolic.verify_theorem8 g ~v:worst.v with
   | Ok r ->
       Format.printf
-        "symbolic certificate: %s; best attack utility %.5f vs bound %.5f@."
+        "symbolic certificate: %s; exact maximum attack utility %.5f vs \
+         bound %.5f@."
         (if r.Symbolic.certified then "zeta_v <= 2 PROVED" else "incomplete")
-        (Q.to_float r.Symbolic.best_found)
+        (Qx.to_float r.Symbolic.best_found)
         (2.0 *. Q.to_float r.Symbolic.honest)
   | Error m -> Format.printf "symbolic verification error: %s@." m);
 
@@ -61,5 +62,5 @@ let () =
   audit "tightness family k=3" (Lower_bound.family ~k:3);
   Format.printf
     "@.every audited network carries machine-checked proofs: the equilibrium@.\
-     structure via flow witnesses and the <= 2 incentive bound via Sturm@.\
-     certificates (Theorem 8 of the paper).@."
+     structure via flow witnesses and the <= 2 incentive bound via exact@.\
+     piece maxima (Theorem 8 of the paper).@."

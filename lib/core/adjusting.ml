@@ -8,20 +8,14 @@ type result = {
   utility_constant : bool;
 }
 
-let find_critical ?ctx ?tolerance g ~v ~w1 ~z_max =
+let find_critical ?ctx g ~v ~w1 ~z_max =
   let ctx = Engine.Ctx.get ctx in
   let grid = ctx.Engine.Ctx.grid in
   let w = Graph.weight g v in
   let w2 = Q.sub w w1 in
   if Q.compare z_max w2 > 0 then
     invalid_arg "Adjusting.find_critical: z_max exceeds w2";
-  let tolerance =
-    match tolerance with
-    | Some t -> t
-    | None ->
-        if Q.is_zero z_max then Q.zero
-        else Q.div_int z_max (1 lsl 20)
-  in
+  let tolerance = Q.div_int z_max (1 lsl 20) in
   let state z =
     let s = Sybil.split g ~v ~w1:(Q.add w1 z) ~w2:(Q.sub w2 z) in
     let d = Decompose.compute ~ctx s.path in

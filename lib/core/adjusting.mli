@@ -25,7 +25,9 @@ type result = {
 }
 
 val find_critical :
-  ?ctx:Engine.Ctx.t -> ?tolerance:Rational.t -> Graph.t -> v:int ->
-  w1:Rational.t -> z_max:Rational.t -> result
-(** Scan [z ∈ [0, z_max]] on [P_v(w1 + z, w2 − z)].
+  ?ctx:Engine.Ctx.t -> Graph.t -> v:int -> w1:Rational.t ->
+  z_max:Rational.t -> result
+(** Scan [z ∈ [0, z_max]] on [P_v(w1 + z, w2 − z)]: a [ctx.grid] walk
+    to the first changed cell, then bisection to a bracket at most
+    [z_max·2⁻²⁰] wide.
     @raise Invalid_argument when [z_max] exceeds [w₂ = w_v − w1]. *)

@@ -1,77 +1,7 @@
 module Q = Rational
 
-type event = {
-  lo : Q.t;
-  hi : Q.t;
-  before : Decompose.t;
-  after : Decompose.t;
-}
-
-let decomposition_at ?ctx g ~v ~x =
-  Decompose.compute ?ctx (Graph.with_weight g v x)
-
-(* Generic scan of a decomposition-valued function over [0, span]. *)
-let scan_fn ~grid ~tolerance ~span decomp =
-  if Q.sign span <= 0 then []
-  else begin
-    let rec bisect lo dlo hi dhi acc =
-      (* invariant: dlo <> dhi *)
-      if Q.compare (Q.sub hi lo) tolerance <= 0 then
-        { lo; hi; before = dlo; after = dhi } :: acc
-      else
-        let mid = Q.div_int (Q.add lo hi) 2 in
-        let dmid = decomp mid in
-        if Decompose.same_structure dlo dmid then bisect mid dmid hi dhi acc
-        else if Decompose.same_structure dmid dhi then bisect lo dlo mid dmid acc
-        else
-          (* Two separate changes inside the cell: recurse on both halves,
-             lower half first so the accumulator stays in scan order. *)
-          bisect mid dmid hi dhi (bisect lo dlo mid dmid acc)
-    in
-    let step = Q.div_int span grid in
-    let rec walk i x dx acc =
-      if i > grid then List.rev acc
-      else
-        let x' = if i = grid then span else Q.mul_int step i in
-        let dx' = decomp x' in
-        let acc = if Decompose.same_structure dx dx' then acc else bisect x dx x' dx' acc in
-        walk (i + 1) x' dx' acc
-    in
-    let d0 = decomp Q.zero in
-    walk 1 Q.zero d0 []
-  end
-
-let scan ?ctx ?tolerance g ~v =
-  let ctx = Engine.Ctx.get ctx in
-  let w = Graph.weight g v in
-  if Q.is_zero w then []
-  else
-    let tolerance =
-      match tolerance with
-      | Some t -> t
-      | None -> Q.div_int w (1 lsl 20)
-    in
-    scan_fn ~grid:ctx.Engine.Ctx.grid ~tolerance ~span:w (fun x ->
-        decomposition_at ~ctx g ~v ~x)
-
-let scan_split ?ctx ?tolerance g ~v =
-  let ctx = Engine.Ctx.get ctx in
-  let w = Graph.weight g v in
-  if Q.is_zero w then []
-  else
-    let tolerance =
-      match tolerance with
-      | Some t -> t
-      | None -> Q.div_int w (1 lsl 20)
-    in
-    let decomp w1 =
-      let s = Sybil.split_free g ~v ~w1 ~w2:(Q.sub w w1) in
-      Decompose.compute ~ctx s.Sybil.path
-    in
-    scan_fn ~grid:ctx.Engine.Ctx.grid ~tolerance ~span:w decomp
-
 (* ------------------------------------------------------------------ *)
-(* Exact split-parameter pieces and events (DESIGN §16)                *)
+(* Exact structure-constant pieces and events (DESIGN §16)             *)
 (* ------------------------------------------------------------------ *)
 
 type exact_piece = {
@@ -251,7 +181,8 @@ end
    conditions alone would miss a pair splitting when some proper
    subset's ratio crosses α_i, which only these DP gaps can see.
 
-   The replay runs the [Chain_fast] kernel with every partial cost
+   The replay runs the [Chain_fast] kernel — the path DP or, for a
+   component that is a whole ring, the cycle DP — with every partial cost
    carried as a quadratic in y, multiplied through by wb_i so the stage
    charge −α_i·w_u becomes the polynomial −wc_i·w_u.  Comparisons are
    resolved by the cost's value at the sample, which it carries beside
@@ -275,7 +206,8 @@ module Replay (N : SCALAR) = struct
 
   (* [stages] lists, per stage, the components to replay and the stage
      pair's weights (B, C) as scaled affine functions of y; [ws] holds
-     the sample's scaled weights, [ytot] the scaled total. *)
+     the sample's scaled weights, [ytot] the scaled total, and [v2] is
+     -1 when only [v1] varies. *)
   let run ~record ~ws ~py ~ytot ~v1 ~v2 stages =
     let zero = { a = N.zero; b = N.zero; c = N.zero; v = N.zero } in
     let module Dp = Chain_fast.Make (struct
@@ -304,11 +236,11 @@ module Replay (N : SCALAR) = struct
       (fun (comps, awb, awc) ->
         let awb = aff awb and awc = aff awc in
         List.iter
-          (fun verts ->
+          (fun { Chain_fast.verts; cycle } ->
             let gam = Array.map (fun u -> product py (affv u) awb) verts
             and sch = Array.map (fun u -> product py (affv u) awc) verts in
             let mq, forced =
-              Dp.solve ~cycle:false ~gam:(Array.get gam) ~sch:(Array.get sch)
+              Dp.solve ~cycle ~gam:(Array.get gam) ~sch:(Array.get sch)
                 (Array.length verts)
             in
             (* the component minimum crossing zero changes which
@@ -331,8 +263,9 @@ module Replay_big = Replay (struct
   let of_bigint x = x
 end)
 
-(* The native-int replay's admission bound on T, the path's total
-   weight in y-units: every coefficient, value and intermediate of the
+(* The native-int replay's admission bound on T = D·(Σ fixed weights +
+   total), which bounds the graph's weight sum in y-units at every
+   parameter value: every coefficient, value and intermediate of the
    replay is at most 2·T² in magnitude (DESIGN §16), and this is the
    largest T with 2·T² ≤ max_int. *)
 let int_replay_bound = B.to_int_exn (Qx.isqrt (B.of_int (max_int / 2)))
@@ -371,7 +304,8 @@ type candidates = {
    all keep their sign, together with the stage-DP differences from
    [Replay] (which make the family complete — see there).  A constant
    keeps its sign everywhere, so only triples with a nonzero y or y²
-   coefficient are kept.  [bigint] forces the Bigint replay. *)
+   coefficient are kept.  [v1] carries x and [v2] (-1 for none)
+   total − x; [bigint] forces the Bigint replay. *)
 let exact_candidates ~tables ~bigint path ~v1 ~v2 ~total ~p
     (structure : Decompose.t) =
   let weights = Graph.weights path in
@@ -439,23 +373,19 @@ let exact_candidates ~tables ~bigint path ~v1 ~v2 ~total ~p
           (fun (pr : Decompose.pair) (((_, sb) as awb), ((_, sc) as awc)) ->
             let pair_moves = sb <> 0 || sc <> 0 in
             let comps =
-              List.filter_map
+              List.filter
                 (fun (comp : Chain_fast.component) ->
-                  (* split graphs are paths, so masked components cannot
-                     be cycles *)
-                  assert (not comp.Chain_fast.cycle);
-                  let verts = comp.Chain_fast.verts in
                   let identity u = u = v1 || u = v2 in
-                  if pair_moves || Array.exists identity verts then Some verts
-                  else None)
+                  pair_moves || Array.exists identity comp.Chain_fast.verts)
                 (components !mask)
             in
             mask := Vset.diff !mask (Vset.union pr.Decompose.b pr.Decompose.c);
             (comps, awb, awc))
           structure pairs
       in
-      let t = Array.fold_left B.add B.zero ws in
-      if (not bigint) && B.compare t (B.of_int int_replay_bound) <= 0
+      let t = ref ytot in
+      Array.iteri (fun u wu -> if u <> v1 && u <> v2 then t := B.add !t wu) ws;
+      if (not bigint) && B.compare !t (B.of_int int_replay_bound) <= 0
       then begin
         Obs.Counter.incr c_int_replays;
         (* Dedupe raw triples first: a hit costs no gcd.  Only a new raw
@@ -595,14 +525,25 @@ let candidate_roots ~w { d; py; ytot; cands } =
                (Qx.roots2 ~a ~b ~c))
            survivors)
 
+(* A weight parameter x over [0, total]: [path_at x] is the degree-≤2
+   graph with [v1] at weight x and, unless [v2] is -1, [v2] at
+   total − x.  Everything downstream ([exact_candidates], the stage
+   replay) only reads the varying ids, the total and the fixed weights,
+   so one machinery serves the Sybil split parameter, a two-vertex
+   weight slice and a single reported weight.  [cost] is the budget
+   charge per sampled point. *)
+type param = {
+  path_at : Q.t -> Graph.t;
+  v1 : int;
+  v2 : int;
+  total : Q.t;
+  cost : int;
+}
+
 (* The maximal interval around the rational sample [p] on which the
-   decomposition of [path_at p] keeps the structure observed at [p].
-   [path_at x] is the degree-≤2 graph with [v1] at weight [x] and [v2]
-   at [total − x]; everything downstream ([exact_candidates], the stage
-   DPs) only reads the two varying ids, the total and the fixed
-   weights, so the same machinery serves both the Sybil split parameter
-   and a generic two-vertex weight slice. *)
-let exact_piece_at_core ~tables ~bigint ~dctx ~path_at ~v1 ~v2 ~total:w p =
+   decomposition of [path_at p] keeps the structure observed at [p]. *)
+let exact_piece_at_core ~tables ~bigint ~dctx { path_at; v1; v2; total = w; _ }
+    p =
   let path = path_at p in
   let structure = Decompose.compute ~ctx:dctx path in
   let cands =
@@ -626,11 +567,10 @@ let exact_piece_at_core ~tables ~bigint ~dctx ~path_at ~v1 ~v2 ~total:w p =
       in
       { xlo; xhi; sample = p; structure }
 
-(* The full piece enumeration over [0, total], generic in [path_at]
-   (same contract as [exact_piece_at_core]); [cost] is the budget charge
-   per sampled point, and [bigint] forces the Bigint stage replay. *)
-let exact_pieces_core ?(bigint = false) ~budget ~dctx ~cost ~path_at ~v1 ~v2
-    ~total:w () =
+(* The full piece enumeration over [0, total]; [bigint] forces the
+   Bigint stage replay. *)
+let exact_pieces_core ?(bigint = false) ~budget ~dctx
+    ({ path_at; total = w; cost; _ } as param) =
   if Q.sign w <= 0 then []
   else begin
     let tables = tables () in
@@ -645,7 +585,7 @@ let exact_pieces_core ?(bigint = false) ~budget ~dctx ~cost ~path_at ~v1 ~v2
         Budget.tick ~cost budget;
         let p = Qx.rational_between a b in
         let piece =
-          exact_piece_at_core ~tables ~bigint ~dctx ~path_at ~v1 ~v2 ~total:w p
+          exact_piece_at_core ~tables ~bigint ~dctx param p
         in
         let piece =
           { piece with xlo = Qx.max piece.xlo a; xhi = Qx.min piece.xhi b }
@@ -722,64 +662,71 @@ let exact_pieces_core ?(bigint = false) ~budget ~dctx ~cost ~path_at ~v1 ~v2
     with_last pieces
   end
 
-let exact_split_pieces_with ?bigint ?ctx g ~v =
+(* [f] on [ctx]'s budget, with decompositions on [ctx] without it *)
+let run ?ctx f =
   let ctx = Engine.Ctx.arm (Engine.Ctx.get ctx) in
-  let budget = Engine.Ctx.budget_or_unlimited ctx in
-  let dctx = Engine.Ctx.without_budget ctx in
-  let w = Graph.weight g v in
-  if Q.sign w <= 0 then []
-  else begin
-    let n = Graph.n g in
-    let path_at x = (Sybil.split_free g ~v ~w1:x ~w2:(Q.sub w x)).Sybil.path in
-    exact_pieces_core ?bigint ~budget ~dctx ~cost:(1 + n) ~path_at ~v1:v ~v2:n
-      ~total:w ()
-  end
+  f ~budget:(Engine.Ctx.budget_or_unlimited ctx)
+    ~dctx:(Engine.Ctx.without_budget ctx)
 
-let exact_split_pieces ?ctx g ~v = exact_split_pieces_with ?ctx g ~v
+let split_param g ~v =
+  let w = Graph.weight g v and n = Graph.n g in
+  {
+    path_at = (fun x -> (Sybil.split_free g ~v ~w1:x ~w2:(Q.sub w x)).Sybil.path);
+    v1 = v;
+    v2 = n;
+    total = w;
+    cost = 1 + n;
+  }
+
+let check_chain name g =
+  if not (Graph.is_chain_graph g) then
+    invalid_arg
+      (Printf.sprintf
+         "Breakpoints.%s: a vertex has degree > 2 (the exact piece \
+          enumeration runs on rings and paths)"
+         name)
+
+let weight_param g ~v =
+  let n = Graph.n g in
+  if v < 0 || v >= n then invalid_arg "Breakpoints.exact_pieces: bad vertex id";
+  check_chain "exact_pieces" g;
+  {
+    path_at = Graph.with_weight g v;
+    v1 = v;
+    v2 = -1;
+    total = Graph.weight g v;
+    cost = 1 + n;
+  }
+
+let exact_split_pieces ?ctx g ~v = run ?ctx (exact_pieces_core (split_param g ~v))
+let exact_pieces ?ctx g ~v = run ?ctx (exact_pieces_core (weight_param g ~v))
 
 let exact_slice_pieces ?ctx base ~v1 ~v2 ~total =
-  let ctx = Engine.Ctx.arm (Engine.Ctx.get ctx) in
-  let budget = Engine.Ctx.budget_or_unlimited ctx in
-  let dctx = Engine.Ctx.without_budget ctx in
   let n = Graph.n base in
   if v1 < 0 || v1 >= n || v2 < 0 || v2 >= n || v1 = v2 then
     invalid_arg "Breakpoints.exact_slice_pieces: bad varying vertex ids";
   if Q.sign total < 0 then
     invalid_arg "Breakpoints.exact_slice_pieces: negative total";
-  if not (Graph.is_chain_graph base) then
-    invalid_arg "Breakpoints.exact_slice_pieces: max degree > 2";
-  if
-    List.exists
-      (fun (c : Chain_fast.component) -> c.Chain_fast.cycle)
-      (Chain_fast.components base ~mask:(Graph.full_mask base))
-  then
-    (* the stage replay solves every component as a path
-       ([stage_dp_candidates]); the split graphs it serves have none *)
-    invalid_arg "Breakpoints.exact_slice_pieces: graph has a cycle component";
+  check_chain "exact_slice_pieces" base;
   let path_at x =
     Graph.with_weight (Graph.with_weight base v1 x) v2 (Q.sub total x)
   in
-  exact_pieces_core ~budget ~dctx ~cost:(1 + n) ~path_at ~v1 ~v2 ~total ()
+  run ?ctx (exact_pieces_core { path_at; v1; v2; total; cost = 1 + n })
 
-let exact_split_events ?ctx g ~v =
-  let pieces = exact_split_pieces ?ctx g ~v in
-  let rec events = function
-    | a :: (b :: _ as rest) ->
-        if Decompose.same_structure a.structure b.structure then events rest
-        else { at = a.xhi; left = a.structure; right = b.structure }
-            :: events rest
-    | _ -> []
-  in
-  events pieces
+let rec events = function
+  | a :: (b :: _ as rest) ->
+      if Decompose.same_structure a.structure b.structure then events rest
+      else { at = a.xhi; left = a.structure; right = b.structure } :: events rest
+  | _ -> []
 
 let classify_event ev ~v =
   let pair_members d =
     let p = Decompose.pair_of d v in
     Vset.union p.b p.c
   in
-  let members_before = pair_members ev.before
-  and members_after = pair_members ev.after in
-  (* The splitting vertex's own ids are stable: compare the vertex sets of
+  let members_before = pair_members ev.left
+  and members_after = pair_members ev.right in
+  (* The varying vertex's own ids are stable: compare the vertex sets of
      the pair containing v on each side of the event. *)
   let count_pairs_covering d target =
     List.length
@@ -789,24 +736,26 @@ let classify_event ev ~v =
          d)
   in
   if Vset.subset members_after members_before
-     && count_pairs_covering ev.after members_before = 2
+     && count_pairs_covering ev.right members_before = 2
   then `Split
   else if Vset.subset members_before members_after
-          && count_pairs_covering ev.before members_after = 2
+          && count_pairs_covering ev.left members_after = 2
   then `Merge
   else `Other
 
 module For_testing = struct
   let int_replay_bound = int_replay_bound
 
-  let split_candidates ~bigint g ~v ~p =
-    let w = Graph.weight g v in
-    let path = (Sybil.split_free g ~v ~w1:p ~w2:(Q.sub w p)).Sybil.path in
+  let param = function `Split -> split_param | `Weight -> weight_param
+
+  let candidates ~bigint which g ~v ~p =
+    let { path_at; v1; v2; total; _ } = param which g ~v in
+    let path = path_at p in
     let structure = Decompose.compute path in
-    (exact_candidates ~tables:(tables ()) ~bigint path ~v1:v ~v2:(Graph.n g)
-       ~total:w ~p structure)
+    (exact_candidates ~tables:(tables ()) ~bigint path ~v1 ~v2 ~total ~p
+       structure)
       .cands
 
-  let exact_split_pieces_bigint ?ctx g ~v =
-    exact_split_pieces_with ~bigint:true ?ctx g ~v
+  let pieces_bigint ?ctx which g ~v =
+    run ?ctx (exact_pieces_core ~bigint:true (param which g ~v))
 end

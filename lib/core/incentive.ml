@@ -217,13 +217,6 @@ let best_split_grid ?ctx ?budget ?honest g ~v =
 (* Exact event-driven sweep (DESIGN §16)                               *)
 (* ------------------------------------------------------------------ *)
 
-(* Horner evaluation in the quadratic-surd field; [Poly.coeffs] is
-   ascending. *)
-let poly_eval_qx p x =
-  List.fold_right
-    (fun c acc -> Qx.add_q (Qx.mul acc x) c)
-    (Poly.coeffs p) (Qx.of_q Q.zero)
-
 (* Denominator of the dyadic rational witness reported when the
    certified optimum is irrational. *)
 let witness_denom = 1 lsl 40
@@ -262,19 +255,7 @@ let best_split_exact ?ctx ?budget ?honest g ~v =
   end
   else begin
     let pieces = Breakpoints.exact_split_pieces ~ctx g ~v in
-    let events =
-      let rec count = function
-        | (a : Breakpoints.exact_piece) :: (b :: _ as rest) ->
-            (if
-               Decompose.same_structure a.Breakpoints.structure
-                 b.Breakpoints.structure
-             then 0
-             else 1)
-            + count rest
-        | _ -> 0
-      in
-      count pieces
-    in
+    let events = List.length (Breakpoints.events pieces) in
     let evals = ref 0 and criticals = ref 0 in
     let best = ref None in
     (* strict improvement only: the first candidate of a utility tie —
@@ -297,36 +278,15 @@ let best_split_exact ?ctx ?budget ?honest g ~v =
             Symbolic.utility_function g ~v ~structure:p.structure
               ~v2:(Graph.n g)
           in
-          let consider_form x =
-            let de = poly_eval_qx den x in
-            if Qx.sign de <> 0 then consider x (Qx.div (poly_eval_qx num x) de)
-          in
           (* the closed form extends continuously to the piece boundary
              (Theorem 10), so closed-endpoint evaluation is sound even
-             where the at-point structure differs *)
-          consider_form p.xlo;
-          (* interior critical points: roots of N'·D − N·D', which the
-             degree-≤2 derivative theorem (DESIGN §16) trims to a
-             quadratic *)
-          let e =
-            Poly.sub
-              (Poly.mul (Poly.derive num) den)
-              (Poly.mul num (Poly.derive den))
+             where the at-point structure differs; a point where D
+             vanishes is skipped *)
+          let cands =
+            Symbolic.closed_form_candidates ~num ~den ~lo:p.xlo ~hi:p.xhi
           in
-          if Poly.degree e > 2 then
-            invalid_arg
-              "Incentive.best_split_exact: derivative numerator exceeds \
-               degree 2";
-          if not (Poly.is_zero e) then
-            List.iter
-              (fun r ->
-                if Qx.compare p.xlo r < 0 && Qx.compare r p.xhi < 0 then begin
-                  incr criticals;
-                  consider_form r
-                end)
-              (Qx.roots2 ~a:(Poly.coeff e 2) ~b:(Poly.coeff e 1)
-                 ~c:(Poly.coeff e 0));
-          consider_form p.xhi;
+          criticals := !criticals + List.length cands - 2;
+          List.iter (fun (x, u) -> Option.iter (consider x) u) cands;
           (* anchor: the sampled interior point, by rational evaluation *)
           consider (Qx.of_q p.sample)
             (Qx.of_q
@@ -704,19 +664,6 @@ let simplex_lattice ~k ~w ~grid =
   in
   if Q.is_zero step then [ Array.make k Q.zero ] else go k w []
 
-let count_structure_changes pieces =
-  let rec count = function
-    | (a : Breakpoints.exact_piece) :: (b :: _ as rest) ->
-        (if
-           Decompose.same_structure a.Breakpoints.structure
-             b.Breakpoints.structure
-         then 0
-         else 1)
-        + count rest
-    | _ -> 0
-  in
-  count pieces
-
 let kway_max_rounds = 64
 
 (* Exact mode at k ≥ 3: coordinate descent over certified 1-D slices.
@@ -794,7 +741,7 @@ let best_splitk_exact ~ctx ?honest g ~v =
           in
           if Engine.Ctx.obs_enabled ctx then
             Obs.Counter.add c_kway_exact_events
-              (count_structure_changes pieces);
+              (List.length (Breakpoints.events pieces));
           let cands = ref [ (!x).(i) ] in
           let addc c =
             if Q.sign c >= 0 && Q.compare c total <= 0 then
@@ -859,9 +806,7 @@ let best_splitk_exact ~ctx ?honest g ~v =
                     if Q.compare lo_q hi_q < 0 then
                       List.iter
                         (fun (l, h) -> addc (Q.div_int (Q.add l h) 2))
-                        (Poly.isolate_roots
-                           ~tolerance:(Q.div_int (Q.sub hi_q lo_q) 4096)
-                           e ~lo:lo_q ~hi:hi_q)
+                        (Poly.isolate_roots e ~lo:lo_q ~hi:hi_q)
                   end
               end)
             pieces;

@@ -1,21 +1,20 @@
 module Q = Rational
 
 type interval = {
-  lo : Q.t;
-  hi : Q.t;
+  lo : Qx.t;
+  hi : Qx.t;
   num : Poly.t;
   den : Poly.t;
+  best_here : Qx.t;
   bound_holds : bool;
-  best_here : Q.t;
 }
 
 type report = {
   v : int;
   honest : Q.t;
   intervals : interval list;
-  gaps : (Q.t * Q.t) list;
   certified : bool;
-  best_found : Q.t;
+  best_found : Qx.t;
 }
 
 (* Weight of a vertex set as a linear polynomial in w1 (the first
@@ -77,126 +76,109 @@ let slice_utility_function path ~v1 ~v2 ~total ~structure ~ids =
       (Poly.add (Poly.mul n_acc d) (Poly.mul n d_acc), Poly.mul d_acc d))
     (Poly.zero, Poly.one) ids
 
-(* Exact attack utility at a concrete split, straight from the mechanism. *)
-let exact_utility ~ctx g ~v w1 = Sybil.split_utility ~ctx g ~v ~w1
+(* Horner evaluation in the quadratic-surd field; [Poly.coeffs] is
+   ascending. *)
+let poly_eval_qx p x =
+  List.fold_right
+    (fun c acc -> Qx.add_q (Qx.mul acc x) c)
+    (Poly.coeffs p) (Qx.of_q Q.zero)
 
-let verify_theorem8 ?ctx ?tolerance g ~v =
+let closed_form_candidates ~num ~den ~lo ~hi =
+  let value x =
+    let d = poly_eval_qx den x in
+    if Qx.sign d = 0 then None else Some (Qx.div (poly_eval_qx num x) d)
+  in
+  (* interior critical points: roots of N'·D − N·D', which the
+     degree-≤2 derivative theorem (DESIGN §16) trims to a quadratic *)
+  let e =
+    Poly.sub
+      (Poly.mul (Poly.derive num) den)
+      (Poly.mul num (Poly.derive den))
+  in
+  if Poly.degree e > 2 then
+    invalid_arg
+      "Symbolic.closed_form_candidates: derivative numerator exceeds degree 2";
+  let interior =
+    if Poly.is_zero e then []
+    else
+      List.filter
+        (fun r -> Qx.compare lo r < 0 && Qx.compare r hi < 0)
+        (Qx.roots2 ~a:(Poly.coeff e 2) ~b:(Poly.coeff e 1) ~c:(Poly.coeff e 0))
+  in
+  List.map (fun x -> (x, value x)) ((lo :: interior) @ [ hi ])
+
+let verify_theorem8 ?ctx g ~v =
   let ctx = Engine.Ctx.get ctx in
-  let total = Graph.weight g v in
   let honest = Sybil.honest_utility ~ctx g ~v in
-  if Q.is_zero total then
-    Ok
-      {
-        v;
-        honest;
-        intervals = [];
-        gaps = [];
-        certified = true;
-        best_found = honest;
-      }
-  else begin
-    let events = Breakpoints.scan_split ~ctx ?tolerance g ~v in
-    let pieces =
-      (* closed intervals between consecutive event brackets *)
-      let cuts =
-        Q.zero
-        :: List.concat_map
-             (fun (ev : Breakpoints.event) -> [ ev.lo; ev.hi ])
-             events
-        @ [ total ]
-      in
-      let rec pair_up = function
-        | a :: b :: rest -> (a, b) :: pair_up rest
-        | _ -> []
-      in
-      pair_up cuts
-    in
-    let gaps =
-      List.map (fun (ev : Breakpoints.event) -> (ev.lo, ev.hi)) events
-    in
-    let best = ref honest in
-    let note_candidate w1 =
-      let w1 = Q.max Q.zero (Q.min total w1) in
-      let u = exact_utility ~ctx g ~v w1 in
-      if Q.compare u !best > 0 then best := u;
-      u
-    in
-    let error = ref None in
-    let two_h = Q.mul_int honest 2 in
-    let intervals =
-      List.map
-        (fun (a, b) ->
-          if Q.compare a b >= 0 then begin
-            let u = note_candidate a in
-            {
-              lo = a;
-              hi = b;
-              num = Poly.constant u;
-              den = Poly.one;
-              bound_holds = Q.compare u two_h <= 0;
-              best_here = u;
-            }
-          end
-          else begin
-            let mid = Q.div_int (Q.add a b) 2 in
-            let s = Sybil.split_free g ~v ~w1:mid ~w2:(Q.sub total mid) in
-            let structure = Decompose.compute ~ctx s.Sybil.path in
-            let num, den =
-              utility_function g ~v ~structure ~v2:s.Sybil.v2
-            in
-            (* consistency: the rational function must agree exactly with
-               the mechanism at interior sample points *)
-            let consistent pt =
-              let dv = Poly.eval den pt in
-              if Q.sign dv <= 0 then false
-              else
-                Q.equal (Q.div (Poly.eval num pt) dv)
-                  (exact_utility ~ctx g ~v pt)
-            in
-            let third = Q.add a (Q.div_int (Q.sub b a) 3) in
-            if not (consistent mid && consistent third) then
-              error :=
-                Some
-                  (Format.asprintf
-                     "symbolic utility mismatch on [%a, %a]" Q.pp a Q.pp b);
-            (* the certified inequality *)
-            let margin =
-              Poly.sub (Poly.scale two_h den) num
-            in
-            let bound_holds =
-              Poly.non_negative_on den ~lo:a ~hi:b
-              && Poly.non_negative_on margin ~lo:a ~hi:b
-            in
-            (* candidate optima: endpoints + critical points of N/D *)
-            let deriv_num =
-              Poly.sub
-                (Poly.mul (Poly.derive num) den)
-                (Poly.mul num (Poly.derive den))
-            in
-            let criticals =
-              if Poly.is_zero deriv_num then []
-              else
-                Poly.isolate_roots
-                  ~tolerance:(Q.div_int (Q.sub b a) 4096)
-                  deriv_num ~lo:a ~hi:b
-                |> List.map (fun (l, h) -> Q.div_int (Q.add l h) 2)
-            in
-            let best_here =
-              List.fold_left
-                (fun acc pt -> Q.max acc (note_candidate pt))
-                (Q.max (note_candidate a) (note_candidate b))
-                criticals
-            in
-            { lo = a; hi = b; num; den; bound_holds; best_here }
-          end)
-        pieces
-    in
-    match !error with
-    | Some m -> Error m
-    | None ->
-        let certified =
-          List.for_all (fun iv -> iv.bound_holds) intervals
-          && Q.compare !best two_h <= 0
+  let two_h = Q.mul_int honest 2 in
+  let mech w1 = Sybil.split_utility ~ctx g ~v ~w1 in
+  let error = ref None in
+  let interval (p : Breakpoints.exact_piece) =
+    let lo = p.Breakpoints.xlo and hi = p.Breakpoints.xhi in
+    let num, den, best_here =
+      if Qx.equal lo hi then
+        (* point piece: its structure lives at one rational point *)
+        let u = mech p.Breakpoints.sample in
+        (Poly.constant u, Poly.one, Qx.of_q u)
+      else begin
+        let num, den =
+          utility_function g ~v ~structure:p.Breakpoints.structure
+            ~v2:(Graph.n g)
         in
-        Ok { v; honest; intervals; gaps; certified; best_found = !best }
-  end
+        (* consistency: the rational function must agree exactly with
+           the mechanism at interior rational points *)
+        let consistent pt =
+          let dv = Poly.eval den pt in
+          Q.sign dv > 0 && Q.equal (Q.div (Poly.eval num pt) dv) (mech pt)
+        in
+        let sample = p.Breakpoints.sample in
+        if
+          not
+            (consistent sample
+            && consistent (Qx.rational_between lo (Qx.of_q sample)))
+        then
+          error :=
+            Some
+              (Format.asprintf "symbolic utility mismatch on [%a, %a]" Qx.pp
+                 lo Qx.pp hi);
+        (* the exact maximum of N/D over the closed piece: U extends
+           continuously to the boundary (Theorem 10), so where D vanishes
+           at an endpoint — a root of D, hence rational — the
+           mechanism's value there is the closed form's limit *)
+        let values =
+          List.map
+            (fun (x, u) ->
+              match u with
+              | Some u -> u
+              | None -> Qx.of_q (mech (Qx.to_q_exn x)))
+            (closed_form_candidates ~num ~den ~lo ~hi)
+        in
+        (num, den, List.fold_left Qx.max (List.hd values) (List.tl values))
+      end
+    in
+    {
+      lo;
+      hi;
+      num;
+      den;
+      best_here;
+      bound_holds = Qx.compare_q best_here two_h <= 0;
+    }
+  in
+  let intervals =
+    List.map interval (Breakpoints.exact_split_pieces ~ctx g ~v)
+  in
+  match !error with
+  | Some m -> Error m
+  | None ->
+      Ok
+        {
+          v;
+          honest;
+          intervals;
+          certified = List.for_all (fun iv -> iv.bound_holds) intervals;
+          best_found =
+            List.fold_left
+              (fun acc iv -> Qx.max acc iv.best_here)
+              (Qx.of_q honest) intervals;
+        }

@@ -1,46 +1,38 @@
 (** Symbolic per-instance verification of Theorem 8.
 
     Sampled attack searches certify lower bounds; this module certifies
-    the {e upper} bound.  On every structure-constant interval of the
-    split parameter [w1], the attacker's utility is an explicit rational
-    function
+    the {e upper} bound.  On every structure-constant piece of the split
+    parameter [w1] ({!Breakpoints.exact_split_pieces}, exact {!Qx.t}
+    bounds, no gaps between pieces), the attacker's utility is an
+    explicit rational function
 
     [U(w1) = U_{v¹} + U_{v²} = N(w1) / D(w1)]
 
     with [deg N ≤ 3], [deg D ≤ 2] (each identity contributes [w1·α] or
-    [w1/α] with [α] a ratio of weight sums that are {e linear} in [w1]).
-    The claim [U(w1) ≤ 2·U_v] on the interval is then the polynomial
-    inequality [2·U_v·D − N ≥ 0], which {!Poly.non_negative_on} decides
-    exactly.  The result is a machine-checked proof of [ζ_v ≤ 2] over the
-    scanned intervals — not a sample-based estimate.
-
-    Scope note: the intervals come from a bisection scan, so change
-    points are bracketed to width [w_v·2⁻²⁰] rather than resolved
-    exactly; the report lists those gap brackets.  [U] extends
-    continuously across them (Theorem 10 gives continuity in each
-    identity's weight), and each gap's endpoints are verified by exact
-    point evaluation, but strictly speaking the symbolic certificate
-    covers the closed scanned intervals. *)
+    [w1/α] with [α] a ratio of weight sums that are {e linear} in [w1]),
+    and [N′D − ND′] has degree ≤ 2 (DESIGN §16).  The exact maximum of
+    [U] over each closed piece is therefore attained at an endpoint or
+    at a root of that quadratic, and {!closed_form_candidates} lists
+    them all.  The claim [U ≤ 2·U_v] on the piece is then one exact
+    comparison of that maximum — a machine-checked proof of [ζ_v ≤ 2]
+    over the whole of [[0, w_v]], not a sample-based estimate. *)
 
 type interval = {
-  lo : Rational.t;
-  hi : Rational.t;
-  num : Poly.t;  (** N: utility numerator on the interval *)
+  lo : Qx.t;
+  hi : Qx.t;  (** exact piece bounds; [lo = hi] for a point piece *)
+  num : Poly.t;  (** N: utility numerator on the piece *)
   den : Poly.t;  (** D: utility denominator (positive inside) *)
-  bound_holds : bool;  (** [2·U_v·D − N ≥ 0] on [lo, hi], decided exactly *)
-  best_here : Rational.t;
-      (** largest exact utility found at candidate optima of this
-          interval (endpoints and isolated critical points of N/D) *)
+  best_here : Qx.t;  (** the exact maximum of [U] over the closed piece *)
+  bound_holds : bool;  (** [best_here ≤ 2·U_v] *)
 }
 
 type report = {
   v : int;
   honest : Rational.t;  (** U_v *)
-  intervals : interval list;
-  gaps : (Rational.t * Rational.t) list;  (** unresolved change brackets *)
-  certified : bool;  (** every interval's inequality proved, every
-                         consistency check passed *)
-  best_found : Rational.t;  (** best exact attack utility encountered *)
+  intervals : interval list;  (** the pieces, tiling [[0, w_v]] *)
+  certified : bool;  (** every piece's bound holds *)
+  best_found : Qx.t;  (** the exact maximum of [U] over [[0, w_v]] (at
+                          least [U_v]) *)
 }
 
 val utility_function :
@@ -60,10 +52,20 @@ val slice_utility_function :
     the fixed identities' weights are readable; at [k = 2] with
     [ids = [|v1; v2|]] this coincides with {!utility_function}. *)
 
+val closed_form_candidates :
+  num:Poly.t -> den:Poly.t -> lo:Qx.t -> hi:Qx.t ->
+  (Qx.t * Qx.t option) list
+(** The candidates for the maximum of [N/D] over the closed piece
+    [[lo, hi]], in order: [lo], the roots of [N′D − ND′] strictly inside
+    (in {!Qx.roots2} order), [hi]; each with [N/D] there, or [None]
+    where [D] vanishes.
+    @raise Invalid_argument when [N′D − ND′] has degree > 2. *)
+
 val verify_theorem8 :
-  ?ctx:Engine.Ctx.t -> ?tolerance:Rational.t -> Graph.t -> v:int ->
-  (report, string) result
-(** Scan, build the per-interval rational functions, cross-check them
-    against the mechanism at interior sample points (exact equality), and
-    decide the bound on every interval.  [Error] means an internal
-    consistency check failed — a bug, not a disproof. *)
+  ?ctx:Engine.Ctx.t -> Graph.t -> v:int -> (report, string) result
+(** Enumerate the split pieces, build the per-piece rational functions,
+    cross-check them against the mechanism at two interior rational
+    points (exact equality), and bound every piece by its exact maximum.
+    Point pieces are bounded by the mechanism's value at their point.
+    [Error] means an internal consistency check failed — a bug, not a
+    disproof. *)

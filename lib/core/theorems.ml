@@ -22,7 +22,7 @@ let proposition12 ?ctx g ~v =
      side forms a C-phase followed by a B-phase with at most one switch
      (at α_v = 1).  A B→C transition, or a second C→B transition, would
      violate them. *)
-  let events = Breakpoints.scan ?ctx g ~v in
+  let pieces = Breakpoints.exact_pieces ?ctx g ~v in
   let side d u =
     let p = Decompose.pair_of d u in
     if Q.equal p.alpha Q.one then `Either
@@ -30,9 +30,7 @@ let proposition12 ?ctx g ~v =
     else `C
   in
   let sides =
-    List.concat_map
-      (fun (ev : Breakpoints.event) -> [ side ev.before v; side ev.after v ])
-      events
+    List.map (fun (p : Breakpoints.exact_piece) -> side p.structure v) pieces
   in
   let rec check phase = function
     | [] -> Ok ()

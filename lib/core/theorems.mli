@@ -27,15 +27,19 @@ val proposition11 :
 
 val proposition12 :
   ?ctx:Engine.Ctx.t -> Graph.t -> v:int -> (unit, string) result
-(** At every decomposition change event, [v] keeps its class side
-    (Proposition 12(1)), and the event is a merge or split of [v]'s pair
-    or leaves [v]'s pair untouched. *)
+(** Across the exact pieces of [v]'s reported weight
+    ({!Breakpoints.exact_pieces}, point pieces included), [v]'s class
+    side forms a C-phase followed by a B-phase (Propositions 11 and
+    12(1)).
+    @raise Invalid_argument when some vertex has degree > 2. *)
 
 val lemma13 :
   ?ctx:Engine.Ctx.t -> Graph.t -> v:int -> (unit, string) result
 (** Within a constant-class phase of the reported weight, pairs on the
     safe side of [α_v] (smaller for C class, larger for B class) persist
-    untouched — checked across the sampled interval structure. *)
+    untouched — checked across every pair of intervals of the exact
+    interval structure ({!Trace.compute}).
+    @raise Invalid_argument when some vertex has degree > 2. *)
 
 val corollaries17_23 :
   ?ctx:Engine.Ctx.t -> Graph.t -> v:int -> (unit, string) result

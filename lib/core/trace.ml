@@ -1,56 +1,40 @@
 module Q = Rational
 
 type interval = {
-  lo : Q.t;
-  hi : Q.t;
+  lo : Qx.t;
+  hi : Qx.t;
   sample : Q.t;
   structure : Decompose.t;
   v_class : Classes.cls;
   v_pair : int;
 }
 
-type transition = {
-  at : Q.t * Q.t;
-  kind : [ `Merge | `Split | `Other ];
-}
+type transition = { at : Qx.t; kind : [ `Merge | `Split | `Other ] }
 
 type t = { v : int; intervals : interval list; transitions : transition list }
 
-let compute ?ctx ?tolerance g ~v =
-  let ctx = Engine.Ctx.get ctx in
-  let w = Graph.weight g v in
-  let events = Breakpoints.scan ~ctx ?tolerance g ~v in
-  (* interval boundaries: 0, each event bracket, w *)
-  let boundaries =
-    (Q.zero, Q.zero)
-    :: List.map (fun (ev : Breakpoints.event) -> (ev.lo, ev.hi)) events
-    @ [ (w, w) ]
+let compute ?ctx g ~v =
+  let pieces = Breakpoints.exact_pieces ?ctx g ~v in
+  let interval (p : Breakpoints.exact_piece) =
+    {
+      lo = p.xlo;
+      hi = p.xhi;
+      sample = p.sample;
+      structure = p.structure;
+      v_class =
+        (Classes.of_decomposition (Graph.with_weight g v p.sample)
+           p.structure).(v);
+      v_pair = Decompose.pair_index p.structure v;
+    }
   in
-  let rec intervals = function
-    | (_, lo) :: ((hi, _) :: _ as rest) ->
-        let sample =
-          if Q.equal lo hi then lo else Q.div_int (Q.add lo hi) 2
-        in
-        let g' = Graph.with_weight g v sample in
-        let d = Decompose.compute ~ctx g' in
-        {
-          lo;
-          hi;
-          sample;
-          structure = d;
-          v_class = (Classes.of_decomposition g' d).(v);
-          v_pair = Decompose.pair_index d v;
-        }
-        :: intervals rest
-    | _ -> []
+  let transition (ev : Breakpoints.exact_event) =
+    { at = ev.at; kind = Breakpoints.classify_event ev ~v }
   in
-  let transitions =
-    List.map
-      (fun (ev : Breakpoints.event) ->
-        { at = (ev.lo, ev.hi); kind = Breakpoints.classify_event ev ~v })
-      events
-  in
-  { v; intervals = intervals boundaries; transitions }
+  {
+    v;
+    intervals = List.map interval pieces;
+    transitions = List.map transition (Breakpoints.events pieces);
+  }
 
 let check_prop12 t =
   (* class sides: C-phase then B-phase *)
@@ -93,18 +77,18 @@ let pp fmt t =
     | [] -> ()
     | iv :: rest ->
         Format.fprintf fmt "x in [%.5f, %.5f]: %d pairs, v in pair %d, class %a@,"
-          (Q.to_float iv.lo) (Q.to_float iv.hi)
+          (Qx.to_float iv.lo) (Qx.to_float iv.hi)
           (List.length iv.structure)
           (iv.v_pair + 1) Classes.pp_cls iv.v_class;
         (match trs with
         | (tr : transition) :: trs' ->
             if rest <> [] then begin
-              Format.fprintf fmt "  -- %s at x ~ %.5f --@,"
+              Format.fprintf fmt "  -- %s at x = %a --@,"
                 (match tr.kind with
                 | `Merge -> "merge"
                 | `Split -> "split"
                 | `Other -> "reshape")
-                (Q.to_float (fst tr.at));
+                Qx.pp tr.at;
               go rest trs'
             end
             else go rest trs
@@ -119,8 +103,8 @@ let to_csv t =
   List.iter
     (fun iv ->
       Buffer.add_string buf
-        (Printf.sprintf "%s,%s,%d,%s,%s\n" (Q.to_string iv.lo)
-           (Q.to_string iv.hi)
+        (Printf.sprintf "%s,%s,%d,%s,%s\n" (Qx.to_string iv.lo)
+           (Qx.to_string iv.hi)
            (List.length iv.structure)
            (Format.asprintf "%a" Classes.pp_cls iv.v_class)
            (Q.to_string (Decompose.alpha_of iv.structure t.v))))

@@ -1,7 +1,7 @@
 (** Request-scoped execution engine (DESIGN.md §12).
 
     Every layer that reaches the bottleneck decomposition — the attack
-    search, the theorem checkers, the trace/breakpoint scanners, the
+    search, the theorem checkers, the breakpoint enumeration, the
     experiment harness, the CLI — used to re-declare its own
     [?solver ?grid ?refine ?budget ?domains] optional-argument spray with
     duplicated defaults.  This module replaces the spray with one
@@ -38,7 +38,7 @@ type sweep = Grid | Exact
     ([Incentive.best_split] and everything above it).  [Grid] is the
     historical grid-with-zoom approximation governed by [Ctx.grid] /
     [Ctx.refine]; [Exact] walks the decomposition's event boundaries
-    exactly ([Breakpoints.exact_split_events], DESIGN §16) and maximises
+    exactly ([Breakpoints.exact_split_pieces], DESIGN §16) and maximises
     each closed-form utility piece, returning a certified optimum with no
     resolution knobs.  Grid stays registered as the differential oracle
     for the exact path. *)

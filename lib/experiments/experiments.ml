@@ -289,27 +289,27 @@ let run_e4_breakpoints fmt =
     "E4 / Fig. 3 - decomposition breakpoints and pair merge/split events";
   let g = Generators.ring_of_ints [| 7; 2; 9; 4; 3 |] in
   let v = 0 in
-  let e4_ctx = Engine.Ctx.make ~grid:32 () in
-  let events = Breakpoints.scan ~ctx:e4_ctx g ~v in
-  Format.fprintf fmt "ring [7;2;9;4;3], agent %d, x in [0, %s]: %d events@."
-    v
+  let pieces = Breakpoints.exact_pieces g ~v in
+  let events = Breakpoints.events pieces in
+  Format.fprintf fmt
+    "ring [7;2;9;4;3], agent %d, x in [0, %s]: %d pieces, %d events@." v
     (Q.to_string (Graph.weight g v))
-    (List.length events);
+    (List.length pieces) (List.length events);
   let classified = ref 0 in
   List.iter
-    (fun (ev : Breakpoints.event) ->
+    (fun (ev : Breakpoints.exact_event) ->
       let kind =
         match Breakpoints.classify_event ev ~v with
         | `Merge -> incr classified; "merge"
         | `Split -> incr classified; "split"
         | `Other -> "other"
       in
-      Format.fprintf fmt "  x ~ %.5f  [%s]  pairs %d -> %d@."
-        (Q.to_float ev.lo) kind
-        (List.length ev.before)
-        (List.length ev.after))
+      Format.fprintf fmt "  x = %s  [%s]  pairs %d -> %d@."
+        (Qx.to_string ev.at) kind
+        (List.length ev.left)
+        (List.length ev.right))
     events;
-  let prop12 = Theorems.proposition12 ~ctx:e4_ctx g ~v = Ok () in
+  let prop12 = Theorems.proposition12 g ~v = Ok () in
   Format.fprintf fmt "Proposition 12 (class side stable): %s@."
     (if prop12 then "holds" else "VIOLATED");
   verdict fmt
@@ -318,7 +318,8 @@ let run_e4_breakpoints fmt =
       ok = prop12 && List.length events > 0;
       detail =
         Printf.sprintf
-          "%d breakpoints isolated, %d merge/split events, class side stable"
+          "%d breakpoints located exactly, %d merge/split events, class side \
+           stable"
           (List.length events) !classified;
     }
 
@@ -719,24 +720,30 @@ let run_e13_symbolic ?(trials = 10) fmt =
   header fmt
     "E13 / Theorem 8, symbolically - polynomial certificates of zeta_v <= 2";
   Format.fprintf fmt
-    "On each structure-constant interval of the split parameter the attack@.\
-     utility is N(w1)/D(w1); Sturm-sequence sign analysis decides@.\
-     2*U_v*D - N >= 0 exactly (no sampling).@.@.";
+    "On each exact structure-constant piece of the split parameter the@.\
+     attack utility is N(w1)/D(w1); its exact maximum over the closed@.\
+     piece (endpoints and the roots of N'D - ND') is compared with@.\
+     2*U_v (no sampling, no gaps between pieces).@.@.";
   let rng = Prng.create 31337 in
   let certified = ref 0 and total = ref 0 in
   let show name g v =
     incr total;
-    match Symbolic.verify_theorem8 ~ctx:(Engine.Ctx.make ~grid:24 ()) g ~v with
+    match Symbolic.verify_theorem8 g ~v with
     | Ok r ->
         if r.Symbolic.certified then incr certified;
         Format.fprintf fmt
-          "%-34s agent %d: %-9s best found %.5f / bound %.5f (%d intervals, %d gap brackets)@."
+          "%-34s agent %d: %-9s exact max %.5f / bound %.5f (%d pieces)@."
           name v
           (if r.Symbolic.certified then "CERTIFIED" else "UNPROVEN")
-          (Q.to_float r.Symbolic.best_found)
+          (Qx.to_float r.Symbolic.best_found)
           (2.0 *. Q.to_float r.Symbolic.honest)
-          (List.length r.Symbolic.intervals)
-          (List.length r.Symbolic.gaps)
+          (List.length r.Symbolic.intervals);
+        Format.fprintf fmt "    piece maxima: %s@."
+          (String.concat " "
+             (List.map
+                (fun (iv : Symbolic.interval) ->
+                  Printf.sprintf "%.5f" (Qx.to_float iv.best_here))
+                r.Symbolic.intervals))
     | Error m -> Format.fprintf fmt "%-34s agent %d: ERROR %s@." name v m
   in
   show "tightness family k=4" (Lower_bound.family ~k:4) 0;
@@ -758,7 +765,8 @@ let run_e13_symbolic ?(trials = 10) fmt =
       ok = !certified = !total;
       detail =
         Printf.sprintf
-          "zeta_v <= 2 proved symbolically on %d/%d instances (Sturm certificates)"
+          "zeta_v <= 2 proved symbolically on %d/%d instances (exact piece \
+           maxima)"
           !certified !total;
     }
 

@@ -74,7 +74,8 @@ val run_e12_truthfulness : ?trials:int -> Format.formatter -> outcome
     splitting, not weight hiding. *)
 
 val run_e13_symbolic : ?trials:int -> Format.formatter -> outcome
-(** Symbolic (Sturm-certificate) proof of ζ_v ≤ 2 per instance, via
+(** Symbolic proof of ζ_v ≤ 2 per instance from the exact maximum of
+    the attack utility on every split piece, via
     {!Symbolic.verify_theorem8}. *)
 
 val run_e14_kway : ?trials:int -> Format.formatter -> outcome

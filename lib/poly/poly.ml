@@ -168,18 +168,11 @@ let count_roots p ~lo ~hi =
     interior_roots p ~lo ~hi
     + (if Q.is_zero (eval p hi) && Q.compare lo hi < 0 then 1 else 0)
 
-let isolate_roots ?tolerance p ~lo ~hi =
+let isolate_roots p ~lo ~hi =
   if is_zero p then invalid_arg "Poly.isolate_roots: zero polynomial";
   if degree p = 0 then []
   else begin
-    let tolerance =
-      match tolerance with
-      | Some t -> t
-      | None ->
-          let span = Q.sub hi lo in
-          if Q.is_zero span then Q.zero
-          else Q.div_int span (1 lsl 30)
-    in
+    let tolerance = Q.div_int (Q.sub hi lo) 4096 in
     let roots_in l h = count_roots p ~lo:l ~hi:h in
     (* recursively split until each bracket holds one root and is narrow *)
     let rec go l h acc =
@@ -193,72 +186,6 @@ let isolate_roots ?tolerance p ~lo ~hi =
         else go mid h (go l mid acc)
     in
     List.rev (go lo hi [])
-  end
-
-(* Sign of p immediately to the right of point v: the sign of the first
-   non-vanishing derivative at v (the multiplicity-order Taylor term). *)
-let sign_right p v =
-  let rec go q =
-    let s = Q.sign (eval q v) in
-    if s <> 0 then s
-    else
-      let q' = derive q in
-      if is_zero q' then 0 else go q'
-  in
-  go p
-
-(* Sign immediately to the left of v: k-th derivative contributes
-   (x - v)^k with sign (-1)^k on the left. *)
-let sign_left p v =
-  let rec go q k =
-    let s = Q.sign (eval q v) in
-    if s <> 0 then if k land 1 = 0 then s else -s
-    else
-      let q' = derive q in
-      if is_zero q' then 0 else go q' (k + 1)
-  in
-  go p 0
-
-(* A probe point strictly inside (l, h) where p does not vanish; exists
-   because p has finitely many roots, so one of deg+2 equispaced interior
-   candidates is a non-root. *)
-let probe p l h =
-  let parts = degree p + 2 in
-  let step = Q.div_int (Q.sub h l) (parts + 1) in
-  let rec go k =
-    if k > parts then invalid_arg "Poly.non_negative_on: no probe point"
-    else
-      let t = Q.add l (Q.mul_int step k) in
-      if Q.sign (eval p t) <> 0 then t else go (k + 1)
-  in
-  go 1
-
-let non_negative_on p ~lo ~hi =
-  if Q.compare lo hi > 0 then invalid_arg "Poly.non_negative_on: empty interval";
-  if is_zero p then true
-  else if Q.equal lo hi then Q.sign (eval p lo) >= 0
-  else if degree p = 0 then Q.sign (eval p lo) >= 0
-  else begin
-    (* decide p >= 0 on [l, h], endpoint values known to be >= 0 *)
-    let rec decide l h =
-      let interior = interior_roots p ~lo:l ~hi:h in
-      if interior = 0 then
-        (* constant sign on the open interval, readable off either
-           endpoint's one-sided sign *)
-        sign_right p l > 0 || sign_left p h > 0
-        || (Q.sign (eval p l) > 0 || Q.sign (eval p h) > 0)
-      else if interior = 1 then
-        (* one interior root r: signs on (l, r) and (r, h) are the
-           one-sided signs at the endpoints *)
-        sign_right p l > 0 && sign_left p h > 0
-      else begin
-        (* split at a non-root point; each side has fewer interior roots *)
-        let t = probe p l h in
-        if Q.sign (eval p t) < 0 then false else decide l t && decide t h
-      end
-    in
-    if Q.sign (eval p lo) < 0 || Q.sign (eval p hi) < 0 then false
-    else decide lo hi
   end
 
 let pp fmt p =

@@ -1,11 +1,11 @@
 (** Univariate polynomials over exact rationals, with Sturm-sequence root
-    counting and sign analysis on intervals.
+    counting and isolation.
 
-    This is the engine behind the symbolic Theorem 8 verifier: on a
-    structure-constant interval the attacker's utility is a rational
-    function [N(x)/D(x)] with small-degree polynomials, so
-    "[U(x) ≤ 2·U_v] on [a,b]" reduces to "[2·U_v·D − N ≥ 0] on [a,b]" —
-    a decidable question answered exactly here. *)
+    On a structure-constant piece the attacker's utility is a rational
+    function [N(x)/D(x)] of small-degree polynomials built here; the
+    symbolic Theorem 8 verifier and the exact sweeps maximise it from
+    the roots of [N′D − ND′], and the k-identity sweep isolates those
+    roots with {!isolate_roots} when they exceed degree 2. *)
 
 type t
 (** A polynomial; the zero polynomial has degree [-1]. *)
@@ -64,15 +64,10 @@ val count_roots : t -> lo:Rational.t -> hi:Rational.t -> int
     [(lo, hi]].  [t] must be non-zero. *)
 
 val isolate_roots :
-  ?tolerance:Rational.t -> t -> lo:Rational.t -> hi:Rational.t ->
-  (Rational.t * Rational.t) list
+  t -> lo:Rational.t -> hi:Rational.t -> (Rational.t * Rational.t) list
 (** Disjoint brackets, each containing exactly one distinct root of [t]
-    in [(lo, hi]], refined by bisection until narrower than [tolerance]
-    (default: [(hi − lo)/2^30]).  Brackets are [(l, h]] with the root in
-    the half-open interval. *)
-
-val non_negative_on : t -> lo:Rational.t -> hi:Rational.t -> bool
-(** Exact decision of [∀ x ∈ [lo, hi]. t(x) ≥ 0]: endpoint signs plus a
-    sign sample between consecutive isolated roots. *)
+    in [(lo, hi]], refined by bisection until at most [(hi − lo)/4096]
+    wide.  Brackets are [(l, h]] with the root in the half-open
+    interval. *)
 
 val pp : Format.formatter -> t -> unit

@@ -353,6 +353,35 @@ for pin in 7/1099511627776,2,9/1000003,4,3,5,8:670b01bffb3b2bf6b8015c3eda3b14ce 
     fails=$((fails + 1)); }
 done
 
+# 29. breaks, trace and verify enumerate the exact pieces: their stdout
+#     is pinned byte for byte on one ring, verify's certificate leaves no
+#     gap brackets, and a graph with a vertex of degree > 2 is an input
+#     error (the interval structure is an analysis of rings and paths)
+for pin in breaks:9f1115d6f699d021b37422bf0eecc6a8 \
+           trace:9b077a262b105411757fbda948dd20c6 \
+           verify:fd3bf1dc2c535b0b8d2f7fa9284e04b1; do
+  sub=${pin%%:*}; digest=${pin#*:}
+  "$cli" "$sub" --ring 7,2,9,4,3 --agent 0 > "$tmpdir/pieces.out" 2> /dev/null
+  expect "$sub --ring 7,2,9,4,3" 0 $?
+  got=$(md5sum < "$tmpdir/pieces.out" | cut -d' ' -f1)
+  [ "$got" = "$digest" ] || {
+    echo "FAIL: $sub --ring 7,2,9,4,3 digest $got, expected $digest" >&2
+    fails=$((fails + 1)); }
+done
+"$cli" verify --ring 7,2,9,4,3 --agent 0 > "$tmpdir/verify.out" 2>&1
+grep -qi "gap" "$tmpdir/verify.out" && {
+  echo "FAIL: verify still reports gap brackets" >&2; fails=$((fails + 1)); }
+"$cli" breaks --fig1 > /dev/null 2> "$tmpdir/err"
+expect "breaks --fig1" 2 $?
+[ "$(wc -l < "$tmpdir/err")" -eq 1 ] || {
+  echo "FAIL: breaks --fig1 stderr is not one line:" >&2
+  cat "$tmpdir/err" >&2; fails=$((fails + 1)); }
+grep -q "degree > 2" "$tmpdir/err" || {
+  echo "FAIL: breaks --fig1 message does not name the degree" >&2
+  fails=$((fails + 1)); }
+grep -q "Raised at" "$tmpdir/err" && {
+  echo "FAIL: breaks --fig1 printed a backtrace" >&2; fails=$((fails + 1)); }
+
 # 10. an unknown --obs-only subsystem is a spec error: exit 4, one line
 "$cli" decompose --fig1 --obs-only bogus > /dev/null 2> "$tmpdir/err"
 expect "unknown --obs-only subsystem" 4 $?

@@ -1,70 +1,51 @@
-(* Tests for decomposition breakpoint isolation (Proposition 12 support). *)
+(* Tests for the exact enumeration of decomposition breakpoints
+   (Proposition 12 support, DESIGN §16), over both weight parameters:
+   [v]'s reported weight ([Breakpoints.exact_pieces]) and the Sybil
+   split weight ([Breakpoints.exact_split_pieces]).  The grid-and-
+   bisection scan of [Scan_oracle] is the independent reference. *)
 
 module Q = Rational
 
-let test_no_events_on_flat_instance () =
-  (* A two-vertex path where v's class never changes... the decomposition
-     does change as x crosses the other weight; instead use a vertex whose
-     variation cannot reorder anything: single edge with x in [0, w] and
-     the partner's weight far larger keeps B = {v} throughout (the alpha
-     value changes but the PAIR SETS stay equal only if alpha is part of
-     equality...).  Decompose.same_structure compares alphas too, so events exist;
-     assert the scan is consistent instead: events are ordered and
-     bracket-tight. *)
-  let g = Generators.path_of_ints [| 4; 100 |] in
-  let events = Breakpoints.scan ~ctx:(Engine.Ctx.make ~grid:16 ()) g ~v:0 in
-  let w = Graph.weight g 0 in
-  List.iter
-    (fun (ev : Breakpoints.event) ->
-      Alcotest.(check bool) "lo < hi" true (Q.compare ev.lo ev.hi < 0);
-      Alcotest.(check bool) "in range" true
-        (Q.sign ev.lo >= 0 && Q.compare ev.hi w <= 0);
-      Alcotest.(check bool) "bracket tight" true
-        (Q.compare (Q.sub ev.hi ev.lo) (Q.div_int w (1 lsl 18)) <= 0))
-    events
+let decomp_at g ~v x = Decompose.compute (Graph.with_weight g v x)
 
-let test_zero_weight_vertex_no_scan () =
+let test_path_pieces_tile () =
+  (* a two-vertex path: v's pair changes as x crosses the partner's
+     share, and the pieces tile [0, w] in order *)
+  let g = Generators.path_of_ints [| 4; 100 |] in
+  let pieces = Breakpoints.exact_pieces g ~v:0 in
+  Alcotest.(check bool) "starts at 0" true
+    (Qx.compare_q (List.hd pieces).Breakpoints.xlo Q.zero = 0);
+  let rec tiled = function
+    | (a : Breakpoints.exact_piece) :: (b :: _ as rest) ->
+        Qx.equal a.xhi b.xlo && tiled rest
+    | [ last ] -> Qx.compare_q last.xhi (Graph.weight g 0) = 0
+    | [] -> false
+  in
+  Alcotest.(check bool) "tiled" true (tiled pieces)
+
+let test_zero_weight_vertex_no_pieces () =
   let g =
     Graph.of_int_weights ~weights:[| 0; 5; 5 |] ~edges:[ (0, 1); (1, 2) ]
   in
-  Alcotest.(check int) "no range to scan" 0
-    (List.length (Breakpoints.scan g ~v:0))
+  Alcotest.(check int) "no range to enumerate" 0
+    (List.length (Breakpoints.exact_pieces g ~v:0))
 
 let test_uniform_ring_has_event () =
   (* Uniform even ring: at x = w_v everything is one alpha = 1 pair, at
      small x the decomposition differs -> at least one event. *)
   let g = Generators.ring_of_ints [| 5; 5; 5; 5 |] in
-  let events = Breakpoints.scan ~ctx:(Engine.Ctx.make ~grid:16 ()) g ~v:0 in
+  let events = Breakpoints.events (Breakpoints.exact_pieces g ~v:0) in
   Alcotest.(check bool) "at least one event" true (List.length events >= 1);
-  (* events ordered by position *)
   let rec ordered = function
-    | (a : Breakpoints.event) :: (b :: _ as rest) ->
-        Q.compare a.hi b.lo <= 0 && ordered rest
+    | (a : Breakpoints.exact_event) :: (b :: _ as rest) ->
+        Qx.compare a.at b.at <= 0 && ordered rest
     | _ -> true
   in
   Alcotest.(check bool) "ordered" true (ordered events)
 
-let test_events_are_real_changes () =
-  let g = Generators.ring_of_ints [| 7; 2; 9; 4; 3 |] in
-  let events = Breakpoints.scan ~ctx:(Engine.Ctx.make ~grid:24 ()) g ~v:0 in
-  List.iter
-    (fun (ev : Breakpoints.event) ->
-      Alcotest.(check bool) "decompositions differ" false
-        (Decompose.same_structure ev.before ev.after);
-      (* endpoints really produce those decompositions *)
-      Alcotest.(check bool) "before matches" true
-        (Decompose.same_structure ev.before
-           (Breakpoints.decomposition_at g ~v:0 ~x:ev.lo));
-      Alcotest.(check bool) "after matches" true
-        (Decompose.same_structure ev.after
-           (Breakpoints.decomposition_at g ~v:0 ~x:ev.hi)))
-    events
-
 let test_classify_merge_or_split () =
-  (* On the uniform even ring the event at the top of the range merges
-     pairs into the single alpha = 1 pair as x grows. *)
   let g = Generators.ring_of_ints [| 5; 5; 5; 5 |] in
-  let events = Breakpoints.scan ~ctx:(Engine.Ctx.make ~grid:16 ()) g ~v:0 in
+  let events = Breakpoints.events (Breakpoints.exact_pieces g ~v:0) in
   Alcotest.(check bool) "classifiable" true
     (List.for_all
        (fun ev ->
@@ -72,94 +53,183 @@ let test_classify_merge_or_split () =
          | `Merge | `Split | `Other -> true)
        events)
 
+let test_rejects_degree_three () =
+  Alcotest.check_raises "vertex of degree > 2"
+    (Invalid_argument
+       "Breakpoints.exact_pieces: a vertex has degree > 2 (the exact piece \
+        enumeration runs on rings and paths)")
+    (fun () -> ignore (Breakpoints.exact_pieces (Generators.fig1 ()) ~v:0))
+
+(* Every piece's structure is the decomposition at its sample and at
+   rational probes on either side of it inside the piece; a point
+   piece's at its point. *)
+let check_probes ~label decomp_at pieces =
+  List.iter
+    (fun (p : Breakpoints.exact_piece) ->
+      let probes =
+        if Qx.equal p.xlo p.xhi then [ p.sample ]
+        else
+          [
+            Qx.rational_between p.xlo (Qx.of_q p.sample);
+            p.sample;
+            Qx.rational_between (Qx.of_q p.sample) p.xhi;
+          ]
+      in
+      List.iter
+        (fun x ->
+          if not (Decompose.same_structure p.structure (decomp_at x)) then
+            Alcotest.failf "%s: structure of piece [%s, %s] differs at %s"
+              label (Qx.to_string p.xlo) (Qx.to_string p.xhi) (Q.to_string x))
+        probes)
+    pieces
+
+let check_tiling ~label ~w pieces =
+  let rec go = function
+    | (a : Breakpoints.exact_piece) :: (b :: _ as rest) ->
+        if not (Qx.equal a.xhi b.xlo) then
+          Alcotest.failf "%s: pieces do not abut at %s" label
+            (Qx.to_string a.xhi);
+        go rest
+    | [ last ] ->
+        if Qx.compare_q last.xhi w <> 0 then
+          Alcotest.failf "%s: last piece ends at %s" label
+            (Qx.to_string last.xhi)
+    | [] -> Alcotest.failf "%s: no pieces" label
+  in
+  (match pieces with
+  | (first : Breakpoints.exact_piece) :: _
+    when Qx.compare_q first.xlo Q.zero <> 0 ->
+      Alcotest.failf "%s: first piece starts at %s" label
+        (Qx.to_string first.xlo)
+  | _ -> ());
+  go pieces
+
+(* The reported-weight battery: 120 seeded rings and paths, n = 3..10.
+   The pieces tile [0, w_v], every piece's structure is the
+   decomposition at rational probes inside it, and the grid-32 scan
+   oracle under-counts only: each of its brackets holds an exact event,
+   and it never reports more events than the exact enumeration. *)
+let test_reported_weight_battery () =
+  let exact = ref 0 and scanned = ref 0 in
+  for trial = 0 to 119 do
+    let n = 3 + (trial mod 8) in
+    let seed = 52_000 + trial in
+    let family =
+      if trial mod 2 = 0 then Weights.Uniform (1, 20)
+      else Weights.Uniform (1, 200)
+    in
+    let g =
+      if trial mod 3 = 2 then Instances.path ~seed ~n family
+      else Instances.ring ~seed ~n family
+    in
+    let v = trial mod n in
+    let w = Graph.weight g v in
+    let label = Printf.sprintf "trial %d, v = %d" trial v in
+    let pieces = Breakpoints.exact_pieces g ~v in
+    check_tiling ~label ~w pieces;
+    check_probes ~label (decomp_at g ~v) pieces;
+    let events = Breakpoints.events pieces in
+    let scan = Scan_oracle.scan ~grid:32 g ~v in
+    (match Scan_oracle.check_against scan events with
+    | Ok () -> ()
+    | Error m -> Alcotest.failf "%s: %s" label m);
+    exact := !exact + List.length events;
+    scanned := !scanned + List.length scan
+  done;
+  Alcotest.(check bool) "the scan sees no more than the exact events" true
+    (!scanned <= !exact)
+
+(* The reported weight's structure never recurs (Propositions 11 and
+   12), so unlike the split parameter below a scan cell cannot hide a
+   cancelling pair of changes; what it cannot see is a one-point
+   structure.  On the ring (7, 2, 9, 4, 3) with v = 0, at x = 3 exactly
+   α_v = 1 and {0, 4} is a pair of its own (class B/C), with v in C
+   below and in B above.  The grid-32 scan brackets one change around
+   x = 3, from the C-side structure straight to the B-side one; the
+   exact enumeration reports both events there, around a point piece. *)
+let test_exact_sees_point_structure () =
+  let g = Generators.ring_of_ints [| 7; 2; 9; 4; 3 |] in
+  let v = 0 in
+  let three = Q.of_int 3 in
+  let pieces = Breakpoints.exact_pieces g ~v in
+  let events = Breakpoints.events pieces in
+  Alcotest.(check (list string)) "exact event locations"
+    [ "2"; "3"; "3"; "9/2" ]
+    (List.map (fun (e : Breakpoints.exact_event) -> Qx.to_string e.at) events);
+  let point =
+    List.find
+      (fun (p : Breakpoints.exact_piece) ->
+        Qx.equal p.xlo p.xhi && Qx.compare_q p.xlo three = 0)
+      pieces
+  in
+  Alcotest.(check bool) "the point structure is the x = 3 decomposition" true
+    (Decompose.same_structure point.structure (decomp_at g ~v three));
+  Helpers.check_q "alpha_v = 1 at the point" Q.one
+    (Decompose.alpha_of point.structure v);
+  let scan = Scan_oracle.scan ~grid:32 g ~v in
+  Alcotest.(check int) "the scan reports three events" 3 (List.length scan);
+  let around =
+    List.filter
+      (fun (ev : Scan_oracle.event) ->
+        Q.compare ev.lo three < 0 && Q.compare three ev.hi < 0)
+      scan
+  in
+  match around with
+  | [ ev ] ->
+      Alcotest.(check bool) "its bracket skips the point structure" true
+        ((not (Decompose.same_structure ev.before point.structure))
+        && not (Decompose.same_structure ev.after point.structure))
+  | _ -> Alcotest.fail "expected one scan bracket around x = 3"
+
 let props =
   [
-    Helpers.qtest ~count:20 "Proposition 12: class stable across events"
+    Helpers.qtest ~count:20 "Proposition 12: class stable across pieces"
       (Helpers.ring_gen ~nmax:6 ~wmax:20 ()) (fun g ->
-        match Theorems.proposition12 ~ctx:(Engine.Ctx.make ~grid:16 ()) g ~v:0 with
+        match Theorems.proposition12 g ~v:0 with
         | Ok () -> true
         | Error _ -> false);
-    Helpers.qtest ~count:15 "scan finds every grid-visible change"
+    (* Theorem 10 also gives continuity of U_v(x): across every exact
+       boundary the utility moves by little between rational points
+       within w·2⁻²⁰ on either side (a point piece contributes its own
+       point) *)
+    Helpers.qtest ~count:12 "utility continuous across breakpoints"
+      (Helpers.ring_gen ~nmax:6 ~wmax:20 ()) (fun g ->
+        let v = 0 in
+        let eps = Q.div_int (Graph.weight g v) (1 lsl 20) in
+        let u x = (Misreport.at g ~v ~x).Misreport.utility in
+        let range = Q.to_float (Sybil.honest_utility g ~v) +. 1.0 in
+        let point (p : Breakpoints.exact_piece) = Qx.equal p.xlo p.xhi in
+        let rec across = function
+          | (a : Breakpoints.exact_piece) :: (b :: _ as rest) ->
+              let t = a.xhi in
+              let xl =
+                if point a then a.sample
+                else Qx.rational_between (Qx.max a.xlo (Qx.add_q t (Q.neg eps))) t
+              and xr =
+                if point b then b.sample
+                else Qx.rational_between t (Qx.min b.xhi (Qx.add_q t eps))
+              in
+              Q.to_float (Q.abs (Q.sub (u xr) (u xl))) < 0.01 *. range
+              && across rest
+          | _ -> true
+        in
+        across (Breakpoints.exact_pieces g ~v));
+    Helpers.qtest ~count:10 "split scan brackets hold exact events"
       (Helpers.ring_gen ~nmax:6 ~wmax:15 ()) (fun g ->
         let v = 0 in
-        let w = Graph.weight g v in
-        let events = Breakpoints.scan ~ctx:(Engine.Ctx.make ~grid:12 ()) g ~v in
-        (* between consecutive events the decomposition at the midpoints
-           of event-free stretches equals the stretch endpoints' *)
-        let boundaries =
-          Q.zero
-          :: List.concat_map
-               (fun (ev : Breakpoints.event) -> [ ev.lo; ev.hi ])
-               events
-          @ [ w ]
-        in
-        let rec stretches = function
-          | a :: (b :: _ as rest) -> (a, b) :: stretches rest
-          | _ -> []
-        in
-        (* check only the event-free stretches: (hi_i, lo_i+1) pairs, which
-           are the even-indexed stretches after inserting 0 and w *)
-        let all = stretches boundaries in
-        List.for_all
-          (fun ((a : Q.t), (b : Q.t)) ->
-            if Q.compare a b >= 0 then true
-            else
-              let da = Breakpoints.decomposition_at g ~v ~x:a in
-              let db = Breakpoints.decomposition_at g ~v ~x:b in
-              (* either this is an event bracket (allowed to differ) or a
-                 flat stretch *)
-              Decompose.same_structure da db
-              || List.exists
-                   (fun (ev : Breakpoints.event) ->
-                     Q.equal ev.lo a && Q.equal ev.hi b)
-                   events)
-          all);
+        Result.is_ok
+          (Scan_oracle.check_against
+             (Scan_oracle.scan_split ~grid:12 g ~v)
+             (Breakpoints.events (Breakpoints.exact_split_pieces g ~v))));
   ]
 
-let continuity_prop =
-  (* Theorem 10 also gives continuity of U_v(x): across every isolated
-     breakpoint bracket, the utility jump is bounded by what the narrow
-     bracket allows (a crude Lipschitz-style check: |U(hi) - U(lo)| small
-     relative to the full range). *)
-  Helpers.qtest ~count:12 "utility continuous across breakpoints"
-    (Helpers.ring_gen ~nmax:6 ~wmax:20 ()) (fun g ->
-      let v = 0 in
-      let events = Breakpoints.scan ~ctx:(Engine.Ctx.make ~grid:12 ()) g ~v in
-      let u x = (Misreport.at g ~v ~x).Misreport.utility in
-      let range =
-        Q.to_float (Sybil.honest_utility g ~v) +. 1.0
-      in
-      List.for_all
-        (fun (ev : Breakpoints.event) ->
-          let jump = Q.to_float (Q.abs (Q.sub (u ev.hi) (u ev.lo))) in
-          (* bracket width is ~w * 2^-20; a genuine discontinuity would
-             show up as a jump comparable to the utility scale *)
-          jump < 0.01 *. range)
-        events)
-
-let split_scan_prop =
-  Helpers.qtest ~count:10 "split-parameter scan events are real"
-    (Helpers.ring_gen ~nmax:6 ~wmax:15 ()) (fun g ->
-      let v = 0 in
-      let events = Breakpoints.scan_split ~ctx:(Engine.Ctx.make ~grid:12 ()) g ~v in
-      let w = Graph.weight g v in
-      List.for_all
-        (fun (ev : Breakpoints.event) ->
-          let d_at w1 =
-            let s = Sybil.split_free g ~v ~w1 ~w2:(Q.sub w w1) in
-            Decompose.compute s.Sybil.path
-          in
-          (not (Decompose.same_structure ev.before ev.after))
-          && Decompose.same_structure ev.before (d_at ev.lo)
-          && Decompose.same_structure ev.after (d_at ev.hi))
-        events)
-
-(* Regression for the documented even-event blindness of the grid scan:
-   on the ring (17, 17, 4) with v = 0, the split decomposition changes
-   at w1 = 17/2 ± √17/2 — a conjugate pair strictly inside the grid-3
-   cell (17/3, 34/3) whose endpoints share a structure.  The scan sees
-   equal endpoints and reports nothing there (1 event overall); the
-   exact enumeration must report both hidden events (4 overall). *)
+(* Regression for the even-event blindness of the grid scan on the split
+   parameter: on the ring (17, 17, 4) with v = 0, the split
+   decomposition changes at w1 = 17/2 ± √17/2 — a conjugate pair
+   strictly inside the grid-3 cell (17/3, 34/3) whose endpoints share a
+   structure.  The scan sees equal endpoints and reports nothing there
+   (1 event overall); the exact enumeration must report both hidden
+   events (4 overall). *)
 let test_exact_sees_hidden_even_events () =
   let g = Generators.ring_of_ints [| 17; 17; 4 |] in
   let v = 0 in
@@ -173,15 +243,15 @@ let test_exact_sees_hidden_even_events () =
   Alcotest.(check bool) "cell endpoints agree" true
     (Decompose.same_structure (d_at lo) (d_at hi));
   (* the grid scan is blind inside that cell *)
-  let scan = Breakpoints.scan_split ~ctx:(Engine.Ctx.make ~grid:3 ()) g ~v in
+  let scan = Scan_oracle.scan_split ~grid:3 g ~v in
   Alcotest.(check int) "scan reports a single event" 1 (List.length scan);
   List.iter
-    (fun (ev : Breakpoints.event) ->
+    (fun (ev : Scan_oracle.event) ->
       Alcotest.(check bool) "scan bracket outside the blind cell" true
         (Q.compare ev.hi lo <= 0 || Q.compare ev.lo hi >= 0))
     scan;
   (* the exact path reports both cancelling changes: 17/2 ± √17/2 *)
-  let events = Breakpoints.exact_split_events g ~v in
+  let events = Breakpoints.events (Breakpoints.exact_split_pieces g ~v) in
   Alcotest.(check int) "exact reports every event" 4 (List.length events);
   let hidden =
     List.filter
@@ -192,7 +262,7 @@ let test_exact_sees_hidden_even_events () =
   Alcotest.(check int) "both hidden events found" 2 (List.length hidden);
   (* and their locations are the conjugate pair, bit-exactly *)
   let half q = Q.make (Bigint.of_int q) (Bigint.of_int 2) in
-  (match hidden with
+  match hidden with
   | [ a; b ] ->
       Alcotest.(check bool) "left event is 17/2 - sqrt(17)/2" true
         (Qx.compare a.Breakpoints.at
@@ -202,7 +272,7 @@ let test_exact_sees_hidden_even_events () =
         (Qx.compare b.Breakpoints.at
            (Qx.make ~q:(half 17) ~r:(half 1) ~d:(Bigint.of_int 17))
         = 0)
-  | _ -> Alcotest.fail "expected exactly two hidden events")
+  | _ -> Alcotest.fail "expected exactly two hidden events"
 
 (* Work pin for piece certification: over a seeded battery of rings
    and every splitting vertex, the number of distinct DP comparison
@@ -268,16 +338,21 @@ let test_dp_work_pin () =
   Alcotest.(check string) "piece boundary representation"
     "cb0c6af7731ff95607f67a35f2481949" repr
 
-(* The stage replay runs on native ints when a sample's scaled weight
-   sum T = D·Σw is at most the replay's bound, and on Bigint otherwise
-   (DESIGN §16, "Native-int replay").  Both instances must certify the
-   same sorted candidate family at every piece's sample, and the same
-   pieces, over 200 rings: the perfbench weight distributions at
-   n = 4..12, weights a/2^40 and a/p for primes p > 10^6, and integer
+(* The stage replay runs on native ints when a sample's scaled bound
+   T = D·(Σ fixed weights + total) is at most the replay's bound, and on
+   Bigint otherwise (DESIGN §16, "Native-int replay").  Both instances
+   must certify the same sorted candidate family at every piece's
+   sample, and the same pieces, for both weight parameters — the split
+   weight and v's reported weight, whose replay runs the cycle DP on
+   the ring itself — over 200 rings: the perfbench weight distributions
+   at n = 4..12, weights a/2^40 and a/p for primes p > 10^6, and integer
    rings whose weight sum is the bound or the bound + 1.  On those last
    rings an integral sample puts T exactly at the bound or one past it,
    and a half-integral one at twice the bound, where a bound one bit too
-   loose lets the native-int replay overflow. *)
+   loose lets the native-int replay overflow.  On the reported weight T
+   is the ring's whole weight sum at every sample, so a sample below
+   w_v whose own weight sum fits the bound still replays on Bigint when
+   T does not. *)
 let test_int_replay_matches_bigint () =
   let module B = Bigint in
   let bound = Breakpoints.For_testing.int_replay_bound in
@@ -343,6 +418,12 @@ let test_int_replay_matches_bigint () =
     let count name = Obs.counter_value d ~subsystem:"breakpoints" name in
     (r, count "int_replays", count "bigint_replays")
   in
+  let params =
+    [
+      (`Split, "split", Breakpoints.exact_split_pieces ?ctx:None);
+      (`Weight, "reported weight", Breakpoints.exact_pieces ?ctx:None);
+    ]
+  in
   let ints = ref 0 and bigs = ref 0 in
   Obs.set_metrics true;
   Fun.protect
@@ -351,36 +432,37 @@ let test_int_replay_matches_bigint () =
       List.iteri
         (fun i g ->
           for v = 0 to Graph.n g - 1 do
-            let label = Printf.sprintf "ring %d, v = %d" i v in
-            let ps, ni, nb =
-              replays (fun () -> Breakpoints.exact_split_pieces g ~v)
-            in
-            ints := !ints + ni;
-            bigs := !bigs + nb;
-            Alcotest.(check (list string))
-              (label ^ ": pieces")
-              (pieces (Breakpoints.For_testing.exact_split_pieces_bigint g ~v))
-              (pieces ps);
             List.iter
-              (fun (p : Breakpoints.exact_piece) ->
-                let family bigint =
-                  sorted
-                    (Breakpoints.For_testing.split_candidates ~bigint g ~v
-                       ~p:p.sample)
-                in
-                Alcotest.(check (list (triple string string string)))
-                  (Printf.sprintf "%s: family at %s" label
-                     (Q.to_string p.sample))
-                  (family true) (family false))
-              ps
+              (fun (which, name, enumerate) ->
+                let label = Printf.sprintf "ring %d, v = %d, %s" i v name in
+                let ps, ni, nb = replays (fun () -> enumerate g ~v) in
+                ints := !ints + ni;
+                bigs := !bigs + nb;
+                Alcotest.(check (list string))
+                  (label ^ ": pieces")
+                  (pieces (Breakpoints.For_testing.pieces_bigint which g ~v))
+                  (pieces ps);
+                List.iter
+                  (fun (p : Breakpoints.exact_piece) ->
+                    let family bigint =
+                      sorted
+                        (Breakpoints.For_testing.candidates ~bigint which g ~v
+                           ~p:p.sample)
+                    in
+                    Alcotest.(check (list (triple string string string)))
+                      (Printf.sprintf "%s: family at %s" label
+                         (Q.to_string p.sample))
+                      (family true) (family false))
+                  ps)
+              params
           done)
         rings;
       Alcotest.(check bool) "unforced sweeps ran both instances" true
         (!ints > 0 && !bigs > 0);
       (* the guard itself: at an integral sample of an integer ring, T is
-         the weight sum *)
+         the weight sum, on both parameters *)
       List.iter
-        (fun (sum, expect_int) ->
+        (fun ((which, name, _), (sum, expect_int)) ->
           let g = Graph.ring ~weights:(summing sum 5 ~heavy:true) in
           let v = ref 0 in
           for u = 1 to 4 do
@@ -388,31 +470,41 @@ let test_int_replay_matches_bigint () =
           done;
           let _, ni, nb =
             replays (fun () ->
-                Breakpoints.For_testing.split_candidates ~bigint:false g ~v:!v
-                  ~p:Q.one)
+                Breakpoints.For_testing.candidates ~bigint:false which g
+                  ~v:!v ~p:Q.one)
           in
           Alcotest.(check (pair int int))
-            (Printf.sprintf "T = bound + %d: (int, Bigint) replays"
+            (Printf.sprintf "%s, T = bound + %d: (int, Bigint) replays" name
                (sum - bound))
             (if expect_int then (1, 0) else (0, 1))
             (ni, nb))
-        [ (bound, true); (bound + 1, false) ])
+        (List.concat_map
+           (fun param -> [ (param, (bound, true)); (param, (bound + 1, false)) ])
+           params))
 
 let () =
   Alcotest.run "breakpoints"
     [
       ( "unit",
         [
-          Alcotest.test_case "brackets tight" `Quick test_no_events_on_flat_instance;
-          Alcotest.test_case "zero weight" `Quick test_zero_weight_vertex_no_scan;
-          Alcotest.test_case "uniform ring event" `Quick test_uniform_ring_has_event;
-          Alcotest.test_case "events are real" `Quick test_events_are_real_changes;
-          Alcotest.test_case "classification total" `Quick test_classify_merge_or_split;
+          Alcotest.test_case "path pieces tile" `Quick test_path_pieces_tile;
+          Alcotest.test_case "zero weight" `Quick
+            test_zero_weight_vertex_no_pieces;
+          Alcotest.test_case "uniform ring event" `Quick
+            test_uniform_ring_has_event;
+          Alcotest.test_case "classification total" `Quick
+            test_classify_merge_or_split;
+          Alcotest.test_case "degree > 2 rejected" `Quick
+            test_rejects_degree_three;
+          Alcotest.test_case "reported-weight battery" `Quick
+            test_reported_weight_battery;
+          Alcotest.test_case "exact path sees a one-point structure" `Quick
+            test_exact_sees_point_structure;
           Alcotest.test_case "exact path sees hidden even events" `Quick
             test_exact_sees_hidden_even_events;
           Alcotest.test_case "parametric DP work pin" `Quick test_dp_work_pin;
           Alcotest.test_case "native-int replay = Bigint replay" `Quick
             test_int_replay_matches_bigint;
         ] );
-      ("properties", continuity_prop :: split_scan_prop :: props);
+      ("properties", props);
     ]

@@ -11,11 +11,12 @@
    - brute force on tiny n: no sampled split beats the certified
      optimum, and a rational optimum is reproduced bit-exactly by the
      mechanism;
-   - event accounting: every bisection bracket of
-     [Breakpoints.scan_split] contains an exact event, and the scan
-     never reports more events than the exact enumeration (a grid point
-     landing exactly on a rational boundary is matched by a degenerate
-     point piece, see the even-event regression in test_breakpoints). *)
+   - event accounting: every bisection bracket of the test-side scan
+     oracle ([Scan_oracle.scan_split]) contains an exact event, and the
+     scan never reports more events than the exact enumeration (a grid
+     point landing exactly on a rational boundary is matched by a
+     degenerate point piece, see the even-event regression in
+     test_breakpoints). *)
 
 module Q = Rational
 
@@ -130,30 +131,13 @@ let test_event_accounting () =
   for trial = 0 to 59 do
     let g, v = instance (1000 + trial) in
     if Q.sign (Graph.weight g v) > 0 then begin
-      let events = Breakpoints.exact_split_events g ~v in
+      let events = Breakpoints.events (Breakpoints.exact_split_pieces g ~v) in
       let scan =
-        Breakpoints.scan_split
-          ~ctx:(Engine.Ctx.make ~grid:(16 + (8 * (trial mod 3))) ())
-          g ~v
+        Scan_oracle.scan_split ~grid:(16 + (8 * (trial mod 3))) g ~v
       in
-      List.iter
-        (fun (ev : Breakpoints.event) ->
-          let covered =
-            List.exists
-              (fun (e : Breakpoints.exact_event) ->
-                Qx.compare_q e.Breakpoints.at ev.Breakpoints.lo >= 0
-                && Qx.compare_q e.Breakpoints.at ev.Breakpoints.hi <= 0)
-              events
-          in
-          if not covered then
-            Alcotest.failf "scan bracket (%s, %s) has no exact event (trial %d)"
-              (Q.to_string ev.Breakpoints.lo)
-              (Q.to_string ev.Breakpoints.hi)
-              trial)
-        scan;
-      if List.length scan > List.length events then
-        Alcotest.failf "scan found %d events, exact only %d (trial %d)"
-          (List.length scan) (List.length events) trial
+      match Scan_oracle.check_against scan events with
+      | Ok () -> ()
+      | Error m -> Alcotest.failf "%s (trial %d)" m trial
     end
   done
 

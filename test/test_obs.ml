@@ -132,7 +132,7 @@ let test_attack_bit_identical () =
 
 let test_trace_identical () =
   let g = e1_ring () in
-  let run () = Trace.to_csv (Trace.compute ~ctx:(Engine.Ctx.make ~grid:8 ()) g ~v:0) in
+  let run () = Trace.to_csv (Trace.compute g ~v:0) in
   let t_off = with_obs ~metrics:false run in
   let t_on = with_obs ~metrics:true ~spans:true run in
   Alcotest.(check string) "identical interval structure" t_off t_on

@@ -72,7 +72,7 @@ let test_isolate_roots () =
 let test_non_negative () =
   let check name expected poly lo hi =
     Alcotest.(check bool) name expected
-      (Poly.non_negative_on poly ~lo:(q lo 1) ~hi:(q hi 1))
+      (Sign_oracle.non_negative_on poly ~lo:(q lo 1) ~hi:(q hi 1))
   in
   check "dips negative" false x2_3x_2 0 3;
   check "nonneg right of roots" true x2_3x_2 2 5;
@@ -135,7 +135,7 @@ let props =
       QCheck2.Gen.(pair poly_gen (int_range 0 100))
       (fun (poly, off) ->
         let lo = Q.of_ints (off - 50) 10 and hi = Q.of_ints (off - 30) 10 in
-        let claimed = Poly.non_negative_on poly ~lo ~hi in
+        let claimed = Sign_oracle.non_negative_on poly ~lo ~hi in
         (* dense rational sampling can only refute, not confirm *)
         let refuted = ref false in
         for k = 0 to 64 do

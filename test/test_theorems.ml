@@ -47,7 +47,7 @@ let test_thm10_and_prop11 () =
 let test_prop12 () =
   List.iter
     (fun g ->
-      match Theorems.proposition12 ~ctx:(Engine.Ctx.make ~grid:12 ()) g ~v:0 with
+      match Theorems.proposition12 g ~v:0 with
       | Ok () -> ()
       | Error m -> Alcotest.fail m)
     [ Generators.ring_of_ints [| 5; 5; 5; 5 |]; Lower_bound.family ~k:1 ]
@@ -81,7 +81,7 @@ let test_theorem8_tight_family () =
 let test_lemma13 () =
   List.iter
     (fun (name, g, v) ->
-      match Theorems.lemma13 ~ctx:(Engine.Ctx.make ~grid:16 ()) g ~v with
+      match Theorems.lemma13 g ~v with
       | Ok () -> ()
       | Error m -> Alcotest.failf "%s: %s" name m)
     [
@@ -123,7 +123,7 @@ let props =
   [
     Helpers.qtest ~count:8 "Lemma 13 on random rings"
       (Helpers.ring_gen ~nmax:6 ~wmax:15 ()) (fun g ->
-        match Theorems.lemma13 ~ctx:(Engine.Ctx.make ~grid:10 ()) g ~v:0 with
+        match Theorems.lemma13 g ~v:0 with
         | Ok () -> true
         | Error _ -> false);
     Helpers.qtest ~count:15 "Lemmas 15/21 on random rings"

@@ -3,38 +3,47 @@
 module Q = Rational
 
 let test_known_instance () =
-  (* ring [7;2;9;4;3], agent 0: C then B with a split and a merge. *)
+  (* ring [7;2;9;4;3], agent 0: C, then B after a split, a one-point
+     structure at x = 3 where α_v = 1, and a merge. *)
   let g = Generators.ring_of_ints [| 7; 2; 9; 4; 3 |] in
-  let t = Trace.compute ~ctx:(Engine.Ctx.make ~grid:24 ()) g ~v:0 in
-  Alcotest.(check int) "intervals" 4 (List.length t.Trace.intervals);
-  Alcotest.(check int) "transitions" 3 (List.length t.Trace.transitions);
+  let t = Trace.compute g ~v:0 in
+  Alcotest.(check int) "intervals" 5 (List.length t.Trace.intervals);
+  Alcotest.(check int) "transitions" 4 (List.length t.Trace.transitions);
   (match Trace.check_prop12 t with
   | Ok () -> ()
   | Error m -> Alcotest.fail m);
-  (* the class sequence is C, C, B, B *)
-  let classes =
-    List.map (fun (iv : Trace.interval) -> iv.v_class) t.Trace.intervals
-  in
-  Alcotest.(check int) "four classes" 4 (List.length classes);
-  (match classes with
-  | [ a; b; c; d ] ->
-      Alcotest.(check bool) "C first" true (Classes.equal_cls a Classes.C);
-      Alcotest.(check bool) "C second" true (Classes.equal_cls b Classes.C);
-      Alcotest.(check bool) "B third" true (Classes.equal_cls c Classes.B);
-      Alcotest.(check bool) "B fourth" true (Classes.equal_cls d Classes.B)
-  | _ -> Alcotest.fail "unexpected shape")
+  Alcotest.(check (list string)) "exact boundaries"
+    [ "2"; "3"; "3"; "9/2" ]
+    (List.map (fun (tr : Trace.transition) -> Qx.to_string tr.at)
+       t.Trace.transitions);
+  Alcotest.(check (list string)) "transition kinds"
+    [ "split"; "other"; "other"; "merge" ]
+    (List.map
+       (fun (tr : Trace.transition) ->
+         match tr.kind with
+         | `Split -> "split"
+         | `Merge -> "merge"
+         | `Other -> "other")
+       t.Trace.transitions);
+  (* the class sequence is C, C, B/C (the point x = 3), B, B *)
+  Alcotest.(check (list string)) "classes" [ "C"; "C"; "B/C"; "B"; "B" ]
+    (List.map
+       (fun (iv : Trace.interval) ->
+         Format.asprintf "%a" Classes.pp_cls iv.v_class)
+       t.Trace.intervals)
 
 let test_intervals_cover_range () =
   let g = Generators.ring_of_ints [| 5; 3; 8; 2 |] in
-  let t = Trace.compute ~ctx:(Engine.Ctx.make ~grid:16 ()) g ~v:1 in
+  let t = Trace.compute g ~v:1 in
   let first = List.hd t.Trace.intervals in
   let last = List.nth t.Trace.intervals (List.length t.Trace.intervals - 1) in
-  Helpers.check_q "starts at 0" Q.zero first.Trace.lo;
-  Helpers.check_q "ends at w" (Graph.weight g 1) last.Trace.hi
+  Alcotest.(check bool) "starts at 0" true (Qx.compare_q first.Trace.lo Q.zero = 0);
+  Alcotest.(check bool) "ends at w" true
+    (Qx.compare_q last.Trace.hi (Graph.weight g 1) = 0)
 
 let test_csv_shape () =
   let g = Generators.ring_of_ints [| 5; 3; 8; 2 |] in
-  let t = Trace.compute ~ctx:(Engine.Ctx.make ~grid:16 ()) g ~v:0 in
+  let t = Trace.compute g ~v:0 in
   let csv = Trace.to_csv t in
   let lines = String.split_on_char '\n' (String.trim csv) in
   Alcotest.(check int) "header + rows"
@@ -43,45 +52,45 @@ let test_csv_shape () =
 
 let test_structure_constant_inside_interval () =
   let g = Generators.ring_of_ints [| 7; 2; 9; 4; 3 |] in
-  let t = Trace.compute ~ctx:(Engine.Ctx.make ~grid:24 ()) g ~v:0 in
+  let t = Trace.compute g ~v:0 in
   List.iter
     (fun (iv : Trace.interval) ->
-      if Q.compare iv.lo iv.hi < 0 then begin
-        (* probe two interior points *)
-        let probe frac =
-          let x =
-            Q.add iv.lo (Q.mul frac (Q.sub iv.hi iv.lo))
-          in
-          Decompose.compute (Graph.with_weight g 0 x)
-        in
-        Alcotest.(check bool) "same structure inside" true
-          (Decompose.same_structure (probe (Q.of_ints 1 3))
-             (probe (Q.of_ints 2 3)))
-      end)
+      let probe x = Decompose.compute (Graph.with_weight g 0 x) in
+      let probes =
+        if Qx.equal iv.lo iv.hi then [ iv.sample ]
+        else
+          [
+            Qx.rational_between iv.lo (Qx.of_q iv.sample);
+            iv.sample;
+            Qx.rational_between (Qx.of_q iv.sample) iv.hi;
+          ]
+      in
+      List.iter
+        (fun x ->
+          Alcotest.(check bool) "same structure inside" true
+            (Decompose.same_structure iv.structure (probe x)))
+        probes)
     t.Trace.intervals
 
 let props =
   [
     Helpers.qtest ~count:15 "prop 11/12 hold on traces"
       (Helpers.ring_gen ~nmax:6 ~wmax:15 ()) (fun g ->
-        match Trace.check_prop12 (Trace.compute ~ctx:(Engine.Ctx.make ~grid:12 ()) g ~v:0) with
+        match Trace.check_prop12 (Trace.compute g ~v:0) with
         | Ok () -> true
         | Error _ -> false);
     Helpers.qtest ~count:15 "intervals tile [0, w]"
       (Helpers.ring_gen ~nmax:6 ~wmax:15 ()) (fun g ->
-        let t = Trace.compute ~ctx:(Engine.Ctx.make ~grid:12 ()) g ~v:0 in
-        let w = Graph.weight g 0 in
-        let gap_tol = Q.div_int w (1 lsl 16) in
+        let t = Trace.compute g ~v:0 in
         let rec tiled = function
           | (a : Trace.interval) :: (b :: _ as rest) ->
-              (* consecutive intervals are separated only by the tight
-                 bisection bracket around the change point *)
-              Q.compare a.hi b.lo <= 0
-              && Q.compare (Q.sub b.lo a.hi) gap_tol <= 0
-              && tiled rest
-          | _ -> true
+              Qx.equal a.hi b.lo && tiled rest
+          | [ last ] -> Qx.compare_q last.hi (Graph.weight g 0) = 0
+          | [] -> false
         in
-        tiled t.Trace.intervals);
+        tiled t.Trace.intervals
+        && List.length t.Trace.transitions
+           = List.length t.Trace.intervals - 1);
   ]
 
 let () =
