@@ -489,9 +489,16 @@ let verify g ctx v () =
             (if iv.bound_holds then "PROVED" else "unproven")
             Qx.pp iv.best_here)
         r.Symbolic.intervals;
+      (* U_v = 0 (e.g. a zero-weight agent): the ratio convention of
+         Incentive, 1 when the attack gains nothing, else infinite *)
+      let ratio =
+        if not (Q.is_zero r.Symbolic.honest) then
+          Qx.to_float (Qx.div_q r.Symbolic.best_found r.Symbolic.honest)
+        else if Qx.sign r.Symbolic.best_found = 0 then 1.0
+        else Float.infinity
+      in
       Format.printf "exact maximum attack utility: %a (ratio %.5f)@." Qx.pp
-        r.Symbolic.best_found
-        (Qx.to_float (Qx.div_q r.Symbolic.best_found r.Symbolic.honest));
+        r.Symbolic.best_found ratio;
       Format.printf "Theorem 8 for this agent: %s@."
         (if r.Symbolic.certified then "CERTIFIED (zeta_v <= 2)"
          else "NOT fully certified")

@@ -371,6 +371,8 @@ done
 "$cli" verify --ring 7,2,9,4,3 --agent 0 > "$tmpdir/verify.out" 2>&1
 grep -qi "gap" "$tmpdir/verify.out" && {
   echo "FAIL: verify still reports gap brackets" >&2; fails=$((fails + 1)); }
+"$cli" verify --ring 0,5,5 --agent 0 > /dev/null 2> "$tmpdir/err"
+expect "verify on a zero-weight agent" 0 $?
 "$cli" breaks --fig1 > /dev/null 2> "$tmpdir/err"
 expect "breaks --fig1" 2 $?
 [ "$(wc -l < "$tmpdir/err")" -eq 1 ] || {
