@@ -343,8 +343,9 @@ let test_dp_work_pin () =
    Bigint otherwise (DESIGN §16, "Native-int replay").  Both instances
    must certify the same sorted candidate family at every piece's
    sample, and the same pieces, for both weight parameters — the split
-   weight and v's reported weight, whose replay runs the cycle DP on
-   the ring itself — over 200 rings: the perfbench weight distributions
+   weight at every vertex, and the reported weight, whose replay runs
+   the cycle DP on the ring itself, at one vertex a ring — over 200
+   rings: the perfbench weight distributions
    at n = 4..12, weights a/2^40 and a/p for primes p > 10^6, and integer
    rings whose weight sum is the bound or the bound + 1.  On those last
    rings an integral sample puts T exactly at the bound or one past it,
@@ -432,6 +433,11 @@ let test_int_replay_matches_bigint () =
       List.iteri
         (fun i g ->
           for v = 0 to Graph.n g - 1 do
+            (* the split at every vertex; the reported weight, whose
+               first stage replays the whole ring, at one vertex a ring *)
+            let params =
+              if v = i mod Graph.n g then params else [ List.hd params ]
+            in
             List.iter
               (fun (which, name, enumerate) ->
                 let label = Printf.sprintf "ring %d, v = %d, %s" i v name in
