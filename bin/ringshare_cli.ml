@@ -103,7 +103,7 @@ let v_arg =
 let solver_arg =
   Arg.(value & opt string "auto"
        & info [ "solver" ] ~docv:"SOLVER"
-         ~doc:"Decomposition solver; $(b,auto) picks the cheapest                registered backend that handles the instance.  An unknown                name is a spec error (exit 4).")
+         ~doc:"Decomposition solver: $(b,fast-chain), $(b,flow), $(b,brute)                or $(b,auto), which runs fast-chain on rings and paths and                flow otherwise.  An unknown name is a spec error (exit 4).")
 
 let grid_arg =
   Arg.(value & opt (some int) None
@@ -159,14 +159,13 @@ let budget_of ~time_budget ~step_budget =
   | None, None -> Budget.unlimited
   | seconds, steps -> Budget.create ?seconds ?steps ()
 
-(* the registry, not a hard-coded enum, decides which names are legal *)
 let solver_of_flag s =
-  match String.lowercase_ascii s with
-  | "auto" -> Decompose.Auto
-  | name when Engine.Registry.find name <> None -> Decompose.Named name
-  | name ->
-      Format.eprintf "ringshare: unknown solver %S (known: auto, %s)@." name
-        (String.concat ", " (Engine.Registry.names ()));
+  let name = String.lowercase_ascii s in
+  match Engine.solver_of_name name with
+  | Some solver -> solver
+  | None ->
+      Format.eprintf "ringshare: unknown solver %S (known: %s)@." name
+        (String.concat ", " Engine.solver_names);
       exit 4
 
 let sweep_of_flag s =
@@ -808,38 +807,36 @@ let () =
   in
   (* user-input errors (bad weights, malformed files, out-of-range
      agents) surface as exceptions from the libraries; report them
-     tersely instead of a backtrace.  Structured errors carry their own
-     exit-code class (2 input, 3 inconsistency, 4 budget, 5 I/O); spec
-     errors from graph_term go through Cmdliner with ~term_err:2. *)
+     tersely instead of a backtrace, through the one mapping
+     [Ringshare_error.capture] applies everywhere.  Structured errors
+     carry their own exit-code class (2 input, 3 inconsistency, 4
+     budget, 5 I/O); spec errors from graph_term go through Cmdliner
+     with ~term_err:2.  An exception capture does not classify is a
+     programming error and escapes with its backtrace. *)
+  let run () =
+    Cmd.eval ~catch:false ~term_err:2
+      (Cmd.group info
+         [
+           decompose_cmd;
+           allocate_cmd;
+           dynamics_cmd;
+           sybil_cmd;
+           curve_cmd;
+           breaks_cmd;
+           trace_cmd;
+           certify_cmd;
+           general_cmd;
+           batch_cmd;
+           family_cmd;
+           audit_cmd;
+           hunt_cmd;
+           verify_cmd;
+           save_cmd;
+         ])
+  in
   exit
-    (try
-       Cmd.eval ~catch:false ~term_err:2
-         (Cmd.group info
-          [
-            decompose_cmd;
-            allocate_cmd;
-            dynamics_cmd;
-            sybil_cmd;
-            curve_cmd;
-            breaks_cmd;
-            trace_cmd;
-            certify_cmd;
-            general_cmd;
-            batch_cmd;
-            family_cmd;
-            audit_cmd;
-            hunt_cmd;
-            verify_cmd;
-            save_cmd;
-          ])
-     with
-    | Ringshare_error.Error e ->
+    (match Ringshare_error.capture run with
+    | Ok code -> code
+    | Error e ->
         Format.eprintf "ringshare: %s@." (Ringshare_error.to_string e);
-        Ringshare_error.exit_code e
-    | Budget.Exhausted { steps; elapsed } ->
-        Format.eprintf "ringshare: compute budget exhausted (%d steps, %.1f s)@."
-          steps elapsed;
-        4
-    | Invalid_argument m | Failure m ->
-        Format.eprintf "ringshare: %s@." m;
-        2)
+        Ringshare_error.exit_code e)

@@ -1,13 +1,6 @@
 module Q = Rational
 
-let () = Solvers.init ()
-
-type solver = Engine.solver =
-  | FastChain
-  | Flow
-  | Brute
-  | Auto
-  | Named of string
+type solver = Engine.solver = FastChain | Flow | Brute | Auto
 
 type pair = { b : Vset.t; c : Vset.t; alpha : Q.t }
 type t = pair list
@@ -32,39 +25,39 @@ let c_auto_fastchain =
 
 let c_auto_flow = Obs.Counter.make ~subsystem:"decomposition" "auto_flow"
 
-let backend_exn name =
-  match Engine.Registry.find name with
-  | Some s -> s
-  | None ->
-      invalid_arg (Printf.sprintf "Decompose: unknown solver %S" name)
-
-(* Resolution is counter-free so a cache hit can compute its key
-   without recording an auto-routing decision that never ran. *)
+(* [Auto] resolves with one match: the chain DP on chain graphs, flow
+   otherwise.  Resolution is counter-free so a cache hit can compute its
+   key without recording an auto-routing decision that never ran. *)
 let resolve g = function
-  | FastChain -> backend_exn "fast-chain"
-  | Flow -> backend_exn "flow"
-  | Brute -> backend_exn "brute"
-  | Named s -> backend_exn s
-  | Auto -> Engine.Registry.auto_select g
+  | Auto -> if Graph.is_chain_graph g then FastChain else Flow
+  | (FastChain | Flow | Brute) as s -> s
 
-let note_auto solver (module S : Engine.SOLVER) =
-  match solver with
-  | Auto ->
-      if String.equal S.name "fast-chain" then
-        Obs.Counter.incr c_auto_fastchain
-      else if String.equal S.name "flow" then Obs.Counter.incr c_auto_flow
+let note_auto solver backend =
+  match (solver, backend) with
+  | Auto, FastChain -> Obs.Counter.incr c_auto_fastchain
+  | Auto, Flow -> Obs.Counter.incr c_auto_flow
   | _ -> ()
+
+(* The bottleneck oracle of a resolved backend: the maximal bottleneck
+   of the subgraph induced by [mask] (paper, Definition 2). *)
+let maximal_bottleneck ~ctx backend g ~mask =
+  let budget = ctx.Engine.Ctx.budget in
+  match backend with
+  | FastChain -> Chain_fast.maximal_bottleneck ?budget g ~mask
+  | Flow -> Flow_solver.maximal_bottleneck ?budget g ~mask
+  | Brute -> Brute.maximal_bottleneck ?budget g ~mask
+  | Auto -> assert false (* [resolve] never returns [Auto] *)
 
 (* The generic extraction loop: one whole-mask maximal-bottleneck solve
    per pair.  Works for every backend; fast-chain on chain graphs is
    instead routed to the O(n log n) per-component driver below. *)
-let generic_loop ~ctx (module S : Engine.SOLVER) g =
+let generic_loop ~ctx backend g =
   let budget = ctx.Engine.Ctx.budget in
   let rec go mask acc =
     if Vset.is_empty mask then List.rev acc
     else begin
       Option.iter (fun b -> Budget.tick b) budget;
-      let b = S.maximal_bottleneck ~ctx g ~mask in
+      let b = maximal_bottleneck ~ctx backend g ~mask in
       let c = Graph.gamma ~mask g b in
       (* For the α = 1 last pair Γ(B) ⊇ B; Definition 2 takes C = Γ(B)∩V_i,
          which then equals B only when every B vertex has a neighbour in B.
@@ -78,29 +71,28 @@ let generic_loop ~ctx (module S : Engine.SOLVER) g =
   in
   go (Graph.full_mask g) []
 
-let compute_backend ~ctx (module S : Engine.SOLVER) g =
+let compute_backend ~ctx backend g =
   Obs.Counter.incr c_computes;
-  if String.equal S.name "fast-chain" && Graph.is_chain_graph g then begin
-    (* Per-component driver: same pairs, without re-solving untouched
-       components each round (see Chain_decompose).  [on_pair] mirrors
-       the generic loop's per-pair budget tick. *)
-    let budget = ctx.Engine.Ctx.budget in
-    let on_pair () = Option.iter (fun b -> Budget.tick b) budget in
-    (* the driver supplies α from its scaled integer sums — the same
-       canonical rational pair_alpha would recompute by re-summing
-       rational weights over every vertex *)
-    Chain_decompose.compute ~ctx ~on_pair g
-    |> List.map (fun (b, c, alpha) ->
-           Obs.Counter.incr c_pairs;
-           { b; c; alpha })
-  end
-  else generic_loop ~ctx (module S) g
+  match backend with
+  | FastChain when Graph.is_chain_graph g ->
+      (* Per-component driver: same pairs, without re-solving untouched
+         components each round (see Chain_decompose).  [on_pair] mirrors
+         the generic loop's per-pair budget tick. *)
+      let budget = ctx.Engine.Ctx.budget in
+      let on_pair () = Option.iter (fun b -> Budget.tick b) budget in
+      (* the driver supplies α from its scaled integer sums — the same
+         canonical rational pair_alpha would recompute by re-summing
+         rational weights over every vertex *)
+      Chain_decompose.compute ~ctx ~on_pair g
+      |> List.map (fun (b, c, alpha) ->
+             Obs.Counter.incr c_pairs;
+             { b; c; alpha })
+  | _ -> generic_loop ~ctx backend g
 
 (* Cache keys digest the serial line stream directly: no [to_string]
    payload and no adjacency rehydration for implicit ring/path
    backends. *)
-let cache_key (module S : Engine.SOLVER) g =
-  S.name ^ ":" ^ Serial.digest g
+let cache_key backend g = Engine.solver_name backend ^ ":" ^ Serial.digest g
 
 (* Early-exit scan instead of summing rational weights over the whole
    vertex set: the guard only needs existence of a nonzero weight, and

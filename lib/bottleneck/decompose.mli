@@ -6,19 +6,14 @@
     [(B_1,C_1), …, (B_k,C_k)] with strictly increasing α-ratios
     (Proposition 3). *)
 
-type solver = Engine.solver =
-  | FastChain
-  | Flow
-  | Brute
-  | Auto
-  | Named of string
-      (** Re-export of {!Engine.solver} (so [Decompose.Auto] and
-          [Engine.Auto] are the same constructor).  [FastChain] is the
-          linear chain DP ({!Chain_fast}, run per component by
-          {!Chain_decompose}); [Auto] routes through
-          {!Engine.Registry.auto_select}, which picks [FastChain] for
-          max-degree ≤ 2 graphs and [Flow] otherwise; [Named s] addresses
-          any backend registered under [s]. *)
+type solver = Engine.solver = FastChain | Flow | Brute | Auto
+(** Re-export of {!Engine.solver} (so [Decompose.Auto] and [Engine.Auto]
+    are the same constructor).  [FastChain] is the linear chain DP
+    ({!Chain_fast}, run per component by {!Chain_decompose}); [Flow]
+    and [Brute] run {!Flow_solver} and {!Brute} in the generic
+    extraction loop; [Auto] resolves with one match to [FastChain] on
+    max-degree ≤ 2 graphs and to [Flow] otherwise, counted by the
+    [decomposition.auto_fastchain] and [auto_flow] counters. *)
 
 type pair = {
   b : Vset.t;  (** the bottleneck [B_i] *)

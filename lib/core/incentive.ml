@@ -70,50 +70,10 @@ let with_budget_arg budget ctx =
    grid 8 running ~1.5x slower than domains=1), so small sweeps fall
    back to the serial path — which computes bit-identical results by
    construction.  [parallel_points_min] gates one sweep's fresh-point
-   batch inside best_split; [parallel_evals_min] gates the per-vertex
-   fan-out in best_attack by the expected evaluations per vertex. *)
+   batch inside best_split; [parallel_evals_min] gates the grid kind's
+   per-vertex fan-out by the expected evaluations per vertex. *)
 let parallel_points_min = 16
 let parallel_evals_min = 32
-
-(* ------------------------------------------------------------------ *)
-(* Request-level result cache (DESIGN §12)                             *)
-(* ------------------------------------------------------------------ *)
-
-type Engine.Cache.value += Attack of attack | Exact_attack of exact_attack
-
-(* A shared [Engine.Cache] holds one entry per attack request, never one
-   per split: on an 11-vertex split path one [Serial.digest] costs
-   8–19 µs (the upper figure with a 64 KB chunk buffer per call) against
-   ~7 µs for the decomposition it would save, and the split graphs of one
-   search recur in another only when the whole instance does.  The key names every
-   setting that changes the answer — the sweep actually run, grid/refine
-   for the grid sweep, the identity count, the solver — then the graph
-   digest; domains and budget stay out (results are bit-identical across
-   domains, and a tripped budget raises before anything is stored). *)
-let request_key ~sweep ~identities ctx g =
-  let knobs =
-    match sweep with
-    | Engine.Grid ->
-        Printf.sprintf "grid:%d:%d" ctx.Engine.Ctx.grid ctx.Engine.Ctx.refine
-    | Engine.Exact -> "exact"
-  in
-  Printf.sprintf "attack:%s:k%d:%s:%s" knobs identities
-    (Engine.solver_name ctx.Engine.Ctx.solver)
-    (Serial.digest g)
-
-(* One lookup for the whole request; the search itself runs on a
-   cache-free context, so no inner decomposition builds a key. *)
-let with_request_cache ~sweep ~identities ~wrap ~unwrap ctx g search =
-  match ctx.Engine.Ctx.cache with
-  | None -> search ctx
-  | Some cache -> (
-      let key = request_key ~sweep ~identities ctx g in
-      match Option.bind (Engine.Cache.find cache key) unwrap with
-      | Some r -> r
-      | None ->
-          let r = search (Engine.Ctx.without_cache ctx) in
-          Engine.Cache.store cache key (wrap r);
-          r)
 
 (* Split searches and the checkpointed scan run cache-free whoever
    calls them (see [with_request_cache]). *)
@@ -275,8 +235,8 @@ let best_split_exact ?ctx ?budget ?honest g ~v =
           consider (Qx.of_q p.sample) (Qx.of_q (mech p.sample))
         else begin
           let num, den =
-            Symbolic.utility_function g ~v ~structure:p.structure
-              ~v2:(Graph.n g)
+            Symbolic.slice_utility_function g ~v1:v ~v2:(Graph.n g) ~total:w
+              ~structure:p.structure ~ids:[| v; Graph.n g |]
           in
           (* the closed form extends continuously to the piece boundary
              (Theorem 10), so closed-endpoint evaluation is sound even
@@ -350,93 +310,6 @@ let best_split ?ctx ?budget ?honest g ~v =
   | Engine.Grid -> best_split_grid ~ctx ?budget ?honest g ~v
   | Engine.Exact -> (best_split_exact ~ctx ?budget ?honest g ~v).witness
 
-let better a b = if Q.compare a.ratio b.ratio > 0 then a else b
-
-(* First argument wins ties, so folding left to right keeps the earliest
-   vertex of a ratio tie — matching the grid search's tie rule. *)
-let better_exact earlier later =
-  if Qx.compare later.ratio_exact earlier.ratio_exact > 0 then later
-  else earlier
-
-let best_attack_exact ?ctx ?budget g =
-  if Graph.n g = 0 then invalid_arg "Incentive.best_attack: empty graph";
-  let ctx = Engine.Ctx.arm (with_budget_arg budget (Engine.Ctx.get ctx)) in
-  Obs.Span.with_ "best_attack_exact" @@ fun () ->
-  Obs.Counter.incr c_attack_calls;
-  with_request_cache ~sweep:Engine.Exact ~identities:2
-    ~wrap:(fun e -> Exact_attack e)
-    ~unwrap:(function Exact_attack e -> Some e | _ -> None)
-    ctx g
-  @@ fun ctx ->
-  (* shared honest decomposition, exactly as in the grid search *)
-  let d = Decompose.compute ~ctx:(Engine.Ctx.without_budget ctx) g in
-  Obs.Counter.add c_honest_shared (Graph.n g);
-  let split_ctx = Engine.Ctx.with_domains 1 ctx in
-  let attacks =
-    (* per-vertex searches are independent; the shared budget counter is
-       atomic, so one budget meters all domains *)
-    Parwork.map ~domains:ctx.Engine.Ctx.domains
-      (fun v ->
-        best_split_exact ~ctx:split_ctx ~honest:(Utility.of_vertex g d v) g
-          ~v)
-      (Array.init (Graph.n g) Fun.id)
-  in
-  Array.fold_left
-    (fun best a ->
-      match best with None -> Some a | Some b -> Some (better_exact b a))
-    None attacks
-  |> Option.get
-
-let best_attack_grid ?ctx ?budget g =
-  if Graph.n g = 0 then invalid_arg "Incentive.best_attack: empty graph";
-  let ctx = Engine.Ctx.arm (with_budget_arg budget (Engine.Ctx.get ctx)) in
-  Obs.Span.with_ "best_attack" @@ fun () ->
-  Obs.Counter.incr c_attack_calls;
-  with_request_cache ~sweep:Engine.Grid ~identities:2
-    ~wrap:(fun a -> Attack a)
-    ~unwrap:(function Attack a -> Some a | _ -> None)
-    ctx g
-  @@ fun ctx ->
-  (* the honest utilities of all vertices come from one decomposition of
-     the unmodified ring; computing it once here instead of once per
-     vertex inside best_split saves n-1 full decompositions *)
-  let d = Decompose.compute ~ctx:(Engine.Ctx.without_budget ctx) g in
-  Obs.Counter.add c_honest_shared (Graph.n g);
-  (* parallelism lives at the vertex level: each best_split runs
-     sequentially on its worker domain (nested fan-out would
-     oversubscribe) *)
-  let split_ctx = Engine.Ctx.with_domains 1 ctx in
-  let fanout =
-    if (ctx.Engine.Ctx.grid + 1) * (ctx.Engine.Ctx.refine + 1)
-       < parallel_evals_min
-    then 1
-    else ctx.Engine.Ctx.domains
-  in
-  let attacks =
-    (* per-vertex searches are independent pure computations; spread them
-       over domains when asked.  The budget's step counter is atomic, so
-       one budget meters all domains; Parwork re-raises the first
-       Exhausted after every domain has joined. *)
-    Parwork.map ~domains:fanout
-      (fun v ->
-        best_split ~ctx:split_ctx ~honest:(Utility.of_vertex g d v) g ~v)
-      (Array.init (Graph.n g) Fun.id)
-  in
-  Array.fold_left
-    (fun best a ->
-      match best with None -> Some a | Some b -> Some (better a b))
-    None attacks
-  |> Option.get
-
-(* [best_attack] routes on the sweep policy.  Under [Exact] the winner
-   is selected by the certified exact ratio — two vertices whose grid
-   estimates tie can rank differently once resolved exactly. *)
-let best_attack ?ctx ?budget g =
-  let ctx = Engine.Ctx.get ctx in
-  match ctx.Engine.Ctx.sweep with
-  | Engine.Grid -> best_attack_grid ~ctx ?budget g
-  | Engine.Exact -> (best_attack_exact ~ctx ?budget g).witness
-
 (* ------------------------------------------------------------------ *)
 (* k-identity split vectors (ctx.identities ≥ 3)                       *)
 (* ------------------------------------------------------------------ *)
@@ -482,8 +355,6 @@ let c_kway_lookups =
 let c_kway_hits = Obs.Counter.make ~subsystem:"incentive" "kway_memo_hits"
 let c_kway_misses = Obs.Counter.make ~subsystem:"incentive" "kway_memo_misses"
 
-type Engine.Cache.value += Kattack of kattack
-
 let kattack_of_attack g (a : attack) =
   let w = Graph.weight g a.v in
   {
@@ -493,11 +364,6 @@ let kattack_of_attack g (a : attack) =
     honest = a.honest;
     ratio = a.ratio;
   }
-
-(* First argument (the fresher vertex in fold order) wins only on strict
-   improvement — same tie rule as [better]. *)
-let better_k (a : kattack) (b : kattack) =
-  if Q.compare a.ratio b.ratio > 0 then a else b
 
 (* Per-search memo for k-way sweeps, keyed by the full weight vector;
    each distinct vector is evaluated — and budget-charged, cost [1 + n]
@@ -853,48 +719,9 @@ let best_splitk ?ctx ?budget ?honest g ~v =
     | Engine.Grid -> best_splitk_grid ~ctx ?honest g ~v
     | Engine.Exact -> best_splitk_exact ~ctx ?honest g ~v
 
-let best_attack_k ?ctx ?budget g =
-  if Graph.n g = 0 then invalid_arg "Incentive.best_attack: empty graph";
-  let ctx = Engine.Ctx.arm (with_budget_arg budget (Engine.Ctx.get ctx)) in
-  if Int.equal ctx.Engine.Ctx.identities 2 then
-    kattack_of_attack g (best_attack ~ctx g)
-  else begin
-    Obs.Span.with_ "best_attack_k" @@ fun () ->
-    Obs.Counter.incr c_attack_calls;
-    with_request_cache ~sweep:ctx.Engine.Ctx.sweep
-      ~identities:ctx.Engine.Ctx.identities
-      ~wrap:(fun a -> Kattack a)
-      ~unwrap:(function Kattack a -> Some a | _ -> None)
-      ctx g
-    @@ fun ctx ->
-    (* shared honest decomposition, exactly as in the 2-split searches *)
-    let d = Decompose.compute ~ctx:(Engine.Ctx.without_budget ctx) g in
-    Obs.Counter.add c_honest_shared (Graph.n g);
-    let split_ctx = Engine.Ctx.with_domains 1 ctx in
-    let attacks =
-      Parwork.map ~domains:ctx.Engine.Ctx.domains
-        (fun v ->
-          let honest = Utility.of_vertex g d v in
-          match ctx.Engine.Ctx.sweep with
-          | Engine.Grid -> best_splitk_grid ~ctx:split_ctx ~honest g ~v
-          | Engine.Exact -> best_splitk_exact ~ctx:split_ctx ~honest g ~v)
-        (Array.init (Graph.n g) Fun.id)
-    in
-    Array.fold_left
-      (fun best a ->
-        match best with None -> Some a | Some b -> Some (better_k a b))
-      None attacks
-    |> Option.get
-  end
-
-type progress = {
-  best : attack option;
-  best_exact : exact_attack option;
-  best_k : kattack option;
-  completed : int;
-  total : int;
-  status : (unit, Ringshare_error.t) result;
-}
+(* ------------------------------------------------------------------ *)
+(* Checkpoint fields, one codec per result type                        *)
+(* ------------------------------------------------------------------ *)
 
 let attack_fields = function
   | None -> [ ("best", "none") ]
@@ -927,7 +754,10 @@ let attack_of_fields fields =
 (* Exact-sweep checkpoint extension: the certified optimum rides along
    as Qx strings next to its rational witness (serialised by
    [attack_fields]), so a killed exact scan resumes bit-identically. *)
-let exact_fields = function
+let exact_fields e =
+  attack_fields (Option.map (fun e -> e.witness) e)
+  @
+  match e with
   | None -> []
   | Some e ->
       [
@@ -989,19 +819,190 @@ let kattack_of_fields fields =
         error
           (Invalid_input (Printf.sprintf "checkpoint: bad kbest marker %S" s)))
 
+(* ------------------------------------------------------------------ *)
+(* ζ = max_v ζ_v: one all-vertex loop for every attack kind            *)
+(* ------------------------------------------------------------------ *)
+
+(* Definition 7 is one maximum over vertices of one per-vertex search.
+   A kind describes that search; the fan-out and the checkpointed scan
+   below are the only two walks of the maximum. *)
+type 'r kind = {
+  span : string;  (* the fan-out's span *)
+  sweep : Engine.sweep;  (* the sweep the request key names *)
+  identities : int;  (* the identity count the request key names *)
+  fanout : Engine.Ctx.t -> int;  (* domains for the per-vertex fan-out *)
+  search : Engine.Ctx.t -> honest:Q.t -> Graph.t -> int -> 'r;
+  improves : 'r -> 'r -> bool;
+      (* [improves later earlier]: a strictly better ratio *)
+  wrap : 'r -> Engine.Cache.value;
+  unwrap : Engine.Cache.value -> 'r option;
+  fields : 'r option -> (string * string) list;  (* checkpoint tail *)
+  of_fields : (string * string) list -> 'r option;
+}
+
+type Engine.Cache.value +=
+  | Attack of attack
+  | Exact_attack of exact_attack
+  | Kattack of kattack
+
+let grid_kind =
+  {
+    span = "best_attack";
+    sweep = Engine.Grid;
+    identities = 2;
+    fanout =
+      (fun ctx ->
+        if (ctx.Engine.Ctx.grid + 1) * (ctx.Engine.Ctx.refine + 1)
+           < parallel_evals_min
+        then 1
+        else ctx.Engine.Ctx.domains);
+    search = (fun ctx ~honest g v -> best_split_grid ~ctx ~honest g ~v);
+    improves = (fun (a : attack) b -> Q.compare a.ratio b.ratio > 0);
+    wrap = (fun a -> Attack a);
+    unwrap = (function Attack a -> Some a | _ -> None);
+    fields = attack_fields;
+    of_fields = attack_of_fields;
+  }
+
+(* Under [Exact] the winner is selected by the certified exact ratio —
+   two vertices whose grid estimates tie can rank differently once
+   resolved exactly. *)
+let exact_kind =
+  {
+    span = "best_attack_exact";
+    sweep = Engine.Exact;
+    identities = 2;
+    fanout = (fun ctx -> ctx.Engine.Ctx.domains);
+    search = (fun ctx ~honest g v -> best_split_exact ~ctx ~honest g ~v);
+    improves = (fun a b -> Qx.compare a.ratio_exact b.ratio_exact > 0);
+    wrap = (fun e -> Exact_attack e);
+    unwrap = (function Exact_attack e -> Some e | _ -> None);
+    fields = exact_fields;
+    of_fields = exact_of_fields;
+  }
+
+(* k ≥ 3: the context's sweep and identity count pick the search. *)
+let kway_kind ctx =
+  let sweep = ctx.Engine.Ctx.sweep in
+  {
+    span = "best_attack_k";
+    sweep;
+    identities = ctx.Engine.Ctx.identities;
+    fanout = (fun ctx -> ctx.Engine.Ctx.domains);
+    search =
+      (match sweep with
+      | Engine.Grid -> fun ctx ~honest g v -> best_splitk_grid ~ctx ~honest g ~v
+      | Engine.Exact ->
+          fun ctx ~honest g v -> best_splitk_exact ~ctx ~honest g ~v);
+    improves = (fun (a : kattack) b -> Q.compare a.ratio b.ratio > 0);
+    wrap = (fun a -> Kattack a);
+    unwrap = (function Kattack a -> Some a | _ -> None);
+    fields = kattack_fields;
+    of_fields = kattack_of_fields;
+  }
+
+(* First of a ratio tie wins: folding vertices in order keeps the
+   earliest. *)
+let keep_best kind best a =
+  match best with Some b when not (kind.improves a b) -> best | _ -> Some a
+
+(* A shared [Engine.Cache] holds one entry per attack request, never one
+   per split: on an 11-vertex split path one [Serial.digest] costs
+   8–19 µs (the upper figure with a 64 KB chunk buffer per call) against
+   ~7 µs for the decomposition it would save, and the split graphs of one
+   search recur in another only when the whole instance does.  The key
+   names every setting that changes the answer — the sweep actually run,
+   grid/refine for the grid sweep, the identity count, the solver — then
+   the graph digest; domains and budget stay out (results are
+   bit-identical across domains, and a tripped budget raises before
+   anything is stored).  DESIGN §12. *)
+let request_key kind ctx g =
+  let knobs =
+    match kind.sweep with
+    | Engine.Grid ->
+        Printf.sprintf "grid:%d:%d" ctx.Engine.Ctx.grid ctx.Engine.Ctx.refine
+    | Engine.Exact -> "exact"
+  in
+  Printf.sprintf "attack:%s:k%d:%s:%s" knobs kind.identities
+    (Engine.solver_name ctx.Engine.Ctx.solver)
+    (Serial.digest g)
+
+(* One lookup for the whole request; the search itself runs on a
+   cache-free context, so no inner decomposition builds a key. *)
+let with_request_cache kind ctx g search =
+  match ctx.Engine.Ctx.cache with
+  | None -> search ctx
+  | Some cache -> (
+      let key = request_key kind ctx g in
+      match Option.bind (Engine.Cache.find cache key) kind.unwrap with
+      | Some r -> r
+      | None ->
+          let r = search (Engine.Ctx.without_cache ctx) in
+          Engine.Cache.store cache key (kind.wrap r);
+          r)
+
+let fan_out kind ?ctx ?budget g =
+  if Graph.n g = 0 then invalid_arg "Incentive.best_attack: empty graph";
+  let ctx = Engine.Ctx.arm (with_budget_arg budget (Engine.Ctx.get ctx)) in
+  Obs.Span.with_ kind.span @@ fun () ->
+  Obs.Counter.incr c_attack_calls;
+  with_request_cache kind ctx g @@ fun ctx ->
+  (* the honest utilities of all vertices come from one decomposition of
+     the unmodified ring; computing it once here instead of once per
+     vertex saves n-1 full decompositions *)
+  let d = Decompose.compute ~ctx:(Engine.Ctx.without_budget ctx) g in
+  Obs.Counter.add c_honest_shared (Graph.n g);
+  (* parallelism lives at the vertex level: each search runs
+     sequentially on its worker domain (nested fan-out would
+     oversubscribe).  The budget's step counter is atomic, so one budget
+     meters all domains; Parwork re-raises the first Exhausted after
+     every domain has joined. *)
+  let split_ctx = Engine.Ctx.with_domains 1 ctx in
+  Parwork.map ~domains:(kind.fanout ctx)
+    (fun v -> kind.search split_ctx ~honest:(Utility.of_vertex g d v) g v)
+    (Array.init (Graph.n g) Fun.id)
+  |> Array.fold_left (keep_best kind) None
+  |> Option.get
+
+let best_attack_exact ?ctx ?budget g = fan_out exact_kind ?ctx ?budget g
+
+let best_attack ?ctx ?budget g =
+  let ctx = Engine.Ctx.get ctx in
+  match ctx.Engine.Ctx.sweep with
+  | Engine.Grid -> fan_out grid_kind ~ctx ?budget g
+  | Engine.Exact -> (best_attack_exact ~ctx ?budget g).witness
+
+let best_attack_k ?ctx ?budget g =
+  let ctx = Engine.Ctx.get ctx in
+  if Int.equal ctx.Engine.Ctx.identities 2 then
+    kattack_of_attack g (best_attack ~ctx ?budget g)
+  else fan_out (kway_kind ctx) ~ctx ?budget g
+
+type progress = {
+  best : attack option;
+  best_exact : exact_attack option;
+  best_k : kattack option;
+  completed : int;
+  total : int;
+  status : (unit, Ringshare_error.t) result;
+}
+
 let ckpt_kind = "best-attack"
 
-let best_attack_within ?ctx ?budget ?checkpoint ?(resume = false) g =
-  if Graph.n g = 0 then invalid_arg "Incentive.best_attack: empty graph";
-  (* a checkpointed scan is no single request: it runs cache-free *)
-  let ctx = cache_free_ctx (with_budget_arg budget (Engine.Ctx.get ctx)) in
+(* The checkpointed walk of the same maximum: vertices in order, the
+   checkpoint rewritten after each one, the best-so-far kept when the
+   budget trips.  Unlike the fan-out, vertices stay sequential; the
+   context's domains parallelise each vertex's search instead, which is
+   bit-identical to the sequential search — so kill/resume determinism
+   holds.  Returns the best, the vertices completed and the status. *)
+let scan kind ~ctx ?checkpoint ~resume g =
   let budget = Engine.Ctx.budget_or_unlimited ctx in
   let total = Graph.n g in
   let sweep = ctx.Engine.Ctx.sweep in
   let identities = ctx.Engine.Ctx.identities in
   let digest = Digest.to_hex (Digest.string (Serial.to_string g)) in
-  let start, best0, best_exact0, best_k0 =
-    if not resume then (0, None, None, None)
+  let start, best0 =
+    if not resume then (0, None)
     else
       match checkpoint with
       | None ->
@@ -1010,7 +1011,7 @@ let best_attack_within ?ctx ?budget ?checkpoint ?(resume = false) g =
               (Invalid_input
                  "Incentive.best_attack_within: resume requires a checkpoint \
                   path"))
-      | Some path when not (Sys.file_exists path) -> (0, None, None, None)
+      | Some path when not (Sys.file_exists path) -> (0, None)
       | Some path -> (
           match Checkpoint.load ~path ~kind:ckpt_kind with
           | Error e -> Ringshare_error.error e
@@ -1041,17 +1042,7 @@ let best_attack_within ?ctx ?budget ?checkpoint ?(resume = false) g =
                 (* pre-k-way checkpoints carry no identities marker and
                    were necessarily written by the 2-split search *)
                 let ck_k =
-                  match List.assoc_opt "identities" fields with
-                  | Some s -> (
-                      match int_of_string_opt s with
-                      | Some i -> i
-                      | None ->
-                          Ringshare_error.(
-                            error
-                              (Invalid_input
-                                 (Printf.sprintf
-                                    "checkpoint: bad identities field %S" s))))
-                  | None -> 2
+                  Checkpoint.legacy_int_field ~default:2 fields "identities"
                 in
                 if ck_k <> identities then
                   Ringshare_error.(
@@ -1061,45 +1052,28 @@ let best_attack_within ?ctx ?budget ?checkpoint ?(resume = false) g =
                             "checkpoint was written with identities %d, \
                              resumed with %d"
                             ck_k identities)));
-                if identities >= 3 then
-                  ( Checkpoint.int_field fields "next",
-                    None,
-                    None,
-                    kattack_of_fields fields )
-                else
-                  ( Checkpoint.int_field fields "next",
-                    attack_of_fields fields,
-                    (match sweep with
-                    | Engine.Grid -> None
-                    | Engine.Exact -> exact_of_fields fields),
-                    None )
+                (Checkpoint.int_field fields "next", kind.of_fields fields)
               end)
   in
-  let save_ckpt next best best_exact best_k =
+  let save_ckpt next best =
     match checkpoint with
     | None -> ()
     | Some path ->
-        let tail =
-          if identities >= 3 then kattack_fields best_k
-          else attack_fields best @ exact_fields best_exact
-        in
         Checkpoint.save ~path ~kind:ckpt_kind
           (("graph", digest)
           :: ("total", string_of_int total)
           :: ("next", string_of_int next)
           :: ("sweep", Engine.sweep_name sweep)
           :: ("identities", string_of_int identities)
-          :: tail)
+          :: kind.fields best)
   in
   let best = ref best0 in
-  let best_exact = ref best_exact0 in
-  let best_k = ref best_k0 in
   let completed = ref start in
   let status = ref (Ok ()) in
   (* snapshot up front so an interruption before the first vertex completes
      still leaves a resumable (graph-bound) checkpoint on disk *)
-  save_ckpt start best0 best_exact0 best_k0;
-  (* honest utilities shared across vertices, as in best_attack; lazy so
+  save_ckpt start best0;
+  (* honest utilities shared across vertices, as in the fan-out; lazy so
      a fully-completed resume does no work and solver errors are still
      captured by the loop below *)
   let d =
@@ -1107,51 +1081,36 @@ let best_attack_within ?ctx ?budget ?checkpoint ?(resume = false) g =
       (Obs.Counter.add c_honest_shared total;
        Decompose.compute ~ctx:(Engine.Ctx.without_budget ctx) g)
   in
-  (* unlike best_attack, vertices stay sequential (the checkpoint is
-     rewritten after each one); ctx.domains instead parallelises each
-     vertex's sweep inside best_split, which is bit-identical to the
-     sequential search — so kill/resume determinism is preserved *)
   (try
      for v = start to total - 1 do
        Budget.check budget;
        let honest = Utility.of_vertex g (Lazy.force d) v in
-       (if identities >= 3 then
-          let a =
-            match sweep with
-            | Engine.Grid -> best_splitk_grid ~ctx ~honest g ~v
-            | Engine.Exact -> best_splitk_exact ~ctx ~honest g ~v
-          in
-          best_k :=
-            Some (match !best_k with None -> a | Some b -> better_k a b)
-        else
-          match sweep with
-          | Engine.Grid ->
-              let a = best_split_grid ~ctx ~honest g ~v in
-              best :=
-                Some (match !best with None -> a | Some b -> better a b)
-          | Engine.Exact ->
-              let e = best_split_exact ~ctx ~honest g ~v in
-              let e =
-                match !best_exact with
-                | None -> e
-                | Some b -> better_exact b e
-              in
-              best_exact := Some e;
-              best := Some e.witness);
+       best := keep_best kind !best (kind.search ctx ~honest g v);
        incr completed;
-       save_ckpt !completed !best !best_exact !best_k
+       save_ckpt !completed !best
      done
    with
   | Budget.Exhausted { steps; elapsed } ->
       status := Error (Ringshare_error.Budget_exhausted { steps; elapsed })
   | Ringshare_error.Error e -> status := Error e);
-  {
-    best = !best;
-    best_exact = !best_exact;
-    best_k = !best_k;
-    completed = !completed;
-    total;
-    status = !status;
-  }
+  (!best, !completed, !status)
+
+let best_attack_within ?ctx ?budget ?checkpoint ?(resume = false) g =
+  if Graph.n g = 0 then invalid_arg "Incentive.best_attack: empty graph";
+  (* a checkpointed scan is no single request: it runs cache-free *)
+  let ctx = cache_free_ctx (with_budget_arg budget (Engine.Ctx.get ctx)) in
+  let scan kind report =
+    let best, completed, status = scan kind ~ctx ?checkpoint ~resume g in
+    let best, best_exact, best_k = report best in
+    { best; best_exact; best_k; completed; total = Graph.n g; status }
+  in
+  if ctx.Engine.Ctx.identities >= 3 then
+    scan (kway_kind ctx) (fun k -> (None, None, k))
+  else
+    match ctx.Engine.Ctx.sweep with
+    | Engine.Grid -> scan grid_kind (fun a -> (a, None, None))
+    | Engine.Exact ->
+        scan exact_kind (fun e ->
+            (Option.map (fun e -> e.witness) e, e, None))
 
 let ratio_of_attack (a : attack) = Q.to_float a.ratio

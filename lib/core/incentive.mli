@@ -66,7 +66,7 @@ val best_split_exact :
 (** The certified optimum of the split sweep: enumerate the
     structure-constant pieces of [w_{v¹}] exactly
     ({!Breakpoints.exact_split_pieces}), maximise each piece's
-    closed-form utility [N/D] ({!Symbolic.utility_function}) over its
+    closed-form utility [N/D] ({!Symbolic.slice_utility_function}) over its
     closed interval — endpoints plus the roots of the degree-≤2
     derivative numerator [N'·D − N·D'] — and return the best point.  The
     result is the true supremum: [ratio_exact] is at least the [ratio]

@@ -57,18 +57,13 @@ let identity_utility g ~v1 ~v2 ~total structure id =
     else (Poly.mul own wb, wc)
   end
 
-let utility_function g ~v ~structure ~v2 =
-  let total = Graph.weight g v in
-  let n1, d1 = identity_utility g ~v1:v ~v2 ~total structure v in
-  let n2, d2 = identity_utility g ~v1:v ~v2 ~total structure v2 in
-  ( Poly.add (Poly.mul n1 d2) (Poly.mul n2 d1),
-    Poly.mul d1 d2 )
-
 (* Σ_j U_{ids.(j)} over a common denominator, on a slice where only the
    weights of [v1] (= x) and [v2] (= total − x) vary and every other
    vertex — including the remaining identities — keeps the weight it
-   has in [path].  [path] must be the materialised split graph, not the
-   ring: the fixed identities' ids only exist there. *)
+   has in [path].  With three or more identities [path] must be the
+   materialised split graph, not the ring: the fixed identities' ids only
+   exist there.  The pairwise split ([ids = [|v; n|]], [total = w_v]) has
+   no fixed identity, so the ring itself serves. *)
 let slice_utility_function path ~v1 ~v2 ~total ~structure ~ids =
   Array.fold_left
     (fun (n_acc, d_acc) id ->
@@ -122,8 +117,9 @@ let verify_theorem8 ?ctx g ~v =
         (Poly.constant u, Poly.one, Qx.of_q u)
       else begin
         let num, den =
-          utility_function g ~v ~structure:p.Breakpoints.structure
-            ~v2:(Graph.n g)
+          slice_utility_function g ~v1:v ~v2:(Graph.n g)
+            ~total:(Graph.weight g v) ~structure:p.Breakpoints.structure
+            ~ids:[| v; Graph.n g |]
         in
         (* consistency: the rational function must agree exactly with
            the mechanism at interior rational points *)

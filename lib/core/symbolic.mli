@@ -35,22 +35,18 @@ type report = {
                           least [U_v]) *)
 }
 
-val utility_function :
-  Graph.t -> v:int -> structure:Decompose.t -> v2:int -> Poly.t * Poly.t
-(** [(N, D)] such that the attacker's total utility equals [N(w1)/D(w1)]
-    while the split path's decomposition structure stays [structure]
-    ([v2] is the second identity's vertex id).  Exposed for tests. *)
-
 val slice_utility_function :
   Graph.t -> v1:int -> v2:int -> total:Rational.t ->
   structure:Decompose.t -> ids:int array -> Poly.t * Poly.t
-(** k-identity generalisation along a 1-D slice: [(N, D)] such that
+(** The attacker's utility along a 1-D slice: [(N, D)] such that
     [Σ_j U_{ids.(j)} = N(x)/D(x)] while the decomposition stays
     [structure], where [v1] carries [x], [v2] carries [total − x] and
-    every other vertex keeps its weight from the given graph.  The graph
-    must be the {e materialised} split path ({!Sybil.ksplit.kpath}) so
-    the fixed identities' weights are readable; at [k = 2] with
-    [ids = [|v1; v2|]] this coincides with {!utility_function}. *)
+    every other vertex keeps its weight from the given graph.  With
+    [k ≥ 3] identities the graph must be the {e materialised} split path
+    ({!Sybil.ksplit.kpath}) so the fixed identities' weights are
+    readable.  The pairwise split is the instance [ids = [|v; n|]],
+    [total = w_v] on the ring itself ([n] the second identity's id),
+    giving [U(w1)] with [deg N ≤ 3], [deg D ≤ 2]. *)
 
 val closed_form_candidates :
   num:Poly.t -> den:Poly.t -> lo:Qx.t -> hi:Qx.t ->

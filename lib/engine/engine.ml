@@ -1,14 +1,14 @@
-(* Request-scoped execution engine: context, solver registry, cache.
+(* Request-scoped execution engine: context, cache, batch runner.
 
    This module is the single source of the search-parameter defaults
    and the only place allowed to declare the historical
    [?solver ?grid ?refine ?domains] optional arguments (the
    [config-drift] lint rule pins that).  It sits below the solver
-   libraries: backends register themselves here, and cached values go
-   through the extensible [Cache.value] type, so no dependency cycle
-   forms. *)
+   libraries: [solver] only names a backend ([Decompose] dispatches on
+   it), and cached values go through the extensible [Cache.value]
+   type, so no dependency cycle forms. *)
 
-type solver = FastChain | Flow | Brute | Auto | Named of string
+type solver = FastChain | Flow | Brute | Auto
 
 type sweep = Grid | Exact
 (* Split-sweep policy for the incentive attack search: [Grid] is the
@@ -231,74 +231,20 @@ module Ctx = struct
   let obs_enabled t = t.obs && Obs.metrics_enabled ()
 end
 
-(* ------------------------------------------------------------------ *)
-(* Solver registry                                                     *)
-(* ------------------------------------------------------------------ *)
-
-module type SOLVER = sig
-  val name : string
-  val rank : int
-  val handles : Graph.t -> bool
-  val maximal_bottleneck : ctx:Ctx.t -> Graph.t -> mask:Vset.t -> Vset.t
-end
-
-module Registry = struct
-  (* Kept sorted by (rank, name) so auto-selection is deterministic
-     regardless of registration order. *)
-  let backends : (module SOLVER) list ref = ref []
-  let mutex = Mutex.create ()
-
-  let order (module A : SOLVER) (module B : SOLVER) =
-    let c = Int.compare A.rank B.rank in
-    if c <> 0 then c else String.compare A.name B.name
-
-  let register (module S : SOLVER) =
-    Mutex.lock mutex;
-    let others =
-      List.filter
-        (fun (module O : SOLVER) -> not (String.equal O.name S.name))
-        !backends
-    in
-    let s : (module SOLVER) = (module S) in
-    backends := List.sort order (s :: others);
-    Mutex.unlock mutex
-
-  let snapshot () =
-    Mutex.lock mutex;
-    let l = !backends in
-    Mutex.unlock mutex;
-    l
-
-  let find name =
-    List.find_opt
-      (fun (module S : SOLVER) -> String.equal S.name name)
-      (snapshot ())
-
-  let names () =
-    List.sort String.compare
-      (List.map (fun (module S : SOLVER) -> S.name) (snapshot ()))
-
-  let auto_select g =
-    match
-      List.find_opt (fun (module S : SOLVER) -> S.handles g) (snapshot ())
-    with
-    | Some s -> s
-    | None -> invalid_arg "Engine.Registry.auto_select: no applicable solver"
-end
-
 let solver_name = function
   | FastChain -> "fast-chain"
   | Flow -> "flow"
   | Brute -> "brute"
   | Auto -> "auto"
-  | Named s -> s
 
 let solver_of_name = function
   | "fast-chain" -> Some FastChain
   | "flow" -> Some Flow
   | "brute" -> Some Brute
   | "auto" -> Some Auto
-  | s -> ( match Registry.find s with Some _ -> Some (Named s) | None -> None)
+  | _ -> None
+
+let solver_names = [ "auto"; "brute"; "fast-chain"; "flow" ]
 
 let sweep_name = function Grid -> "grid" | Exact -> "exact"
 

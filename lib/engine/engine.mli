@@ -6,32 +6,33 @@
     [?solver ?grid ?refine ?budget ?domains] optional-argument spray with
     duplicated defaults.  This module replaces the spray with one
     immutable request context ({!Ctx.t}) carrying a single source of
-    defaults, a first-class solver registry so decomposition backends are
-    data, not a hard-coded variant match, and a bounded, domain-safe
-    decomposition cache ({!Cache}) that a context owns and shares
-    {e across} searches.
+    defaults, and a bounded, domain-safe result cache ({!Cache}) that a
+    context owns and shares {e across} searches.
 
     The engine sits {e below} the solver libraries in the dependency
-    order: solvers register themselves here, and the cache stores their
-    results through the extensible {!Cache.value} type, so no layer above
-    is forced into a dependency cycle. *)
+    order: {!solver} only names a backend ([Decompose] dispatches on it
+    with one match), and the cache stores results through the
+    extensible {!Cache.value} type, so no layer above is forced into a
+    dependency cycle. *)
 
-type solver = FastChain | Flow | Brute | Auto | Named of string
-(** Decomposition backend choice.  The three classic constructors name the
-    built-in solvers; [Auto] routes through the registry by
-    {!Registry.auto_select}; [Named s] addresses any backend registered
-    under [s] — new backends become reachable without touching the
-    decomposition layer.  [Decompose.solver] re-exports this type, so
+type solver = FastChain | Flow | Brute | Auto
+(** Decomposition backend choice: [FastChain] the chain DP (max degree
+    ≤ 2 only), [Flow] the generic max-flow solver, [Brute] subset
+    enumeration, and [Auto] the chain DP on chain graphs and flow
+    otherwise.  [Decompose.solver] re-exports this type, so
     [Decompose.Auto] and [Engine.Auto] are the same constructor. *)
 
 val solver_name : solver -> string
-(** Canonical registry name: ["fast-chain"], ["flow"], ["brute"],
-    ["auto"], or the [Named] payload. *)
+(** ["fast-chain"], ["flow"], ["brute"] or ["auto"]; the name keys
+    decomposition cache entries. *)
 
 val solver_of_name : string -> solver option
-(** Inverse of {!solver_name} for the four canonical names; any other
-    string maps to [Named] only if a backend of that name is registered
-    ([None] otherwise — the CLI turns that into a spec error). *)
+(** Inverse of {!solver_name}; [None] on any other name (the CLI turns
+    that into a spec error). *)
+
+val solver_names : string list
+(** Every selectable solver name, sorted:
+    [["auto"; "brute"; "fast-chain"; "flow"]]. *)
 
 type sweep = Grid | Exact
 (** Split-sweep policy for the incentive attack search
@@ -48,7 +49,7 @@ val sweep_name : sweep -> string
 
 val sweep_of_name : string -> sweep option
 (** Inverse of {!sweep_name}; [None] on unknown names (the CLI turns
-    that into a spec error, mirroring {!solver_of_name}). *)
+    that into a spec error, as for {!solver_of_name}). *)
 
 val sweep_names : unit -> string list
 (** All selectable sweep names, sorted: [["exact"; "grid"]]. *)
@@ -185,41 +186,6 @@ module Ctx : sig
   (** [ctx.obs && Obs.metrics_enabled ()]: layers consult this instead of
       the global switch so a context can opt a request out of metric
       recording. *)
-end
-
-(** {1 Solver registry} *)
-
-module type SOLVER = sig
-  val name : string
-  (** Registry key, e.g. ["fast-chain"]. *)
-
-  val rank : int
-  (** [Registry.auto_select] priority: among applicable solvers the
-      lowest rank wins (ties break by name).  Built-ins use 10/30/40
-      so external backends can slot in anywhere. *)
-
-  val handles : Graph.t -> bool
-  (** Whether this backend is applicable to the graph (the chain DP
-      only handles max-degree ≤ 2). *)
-
-  val maximal_bottleneck : ctx:Ctx.t -> Graph.t -> mask:Vset.t -> Vset.t
-  (** The bottleneck oracle: the maximal bottleneck of the subgraph
-      induced by [mask] (paper, Definition 2). *)
-end
-
-module Registry : sig
-  val register : (module SOLVER) -> unit
-  (** Idempotent on the name: re-registering replaces the backend. *)
-
-  val find : string -> (module SOLVER) option
-  val names : unit -> string list
-  (** Sorted; the vocabulary the CLI validates [--solver] against
-      (together with ["auto"]). *)
-
-  val auto_select : Graph.t -> (module SOLVER)
-  (** Lowest-rank applicable backend.
-      @raise Invalid_argument when no registered backend handles the
-      graph (cannot happen once the built-ins are registered). *)
 end
 
 (** {1 Batch execution} *)

@@ -1025,40 +1025,29 @@ let hunt ?ctx ?checkpoint ?(resume = false) ?(budget = Budget.unlimited)
                     (Invalid_input
                        "checkpoint was written for a different hunt \
                         (seed/trials mismatch)"))
-              else if
+              else
                 (* pre-k-way checkpoints carry no identities field and
                    count as two; a cross-k resume would replay the same
                    rng stream into a different search space *)
-                (match List.assoc_opt "identities" fields with
-                 | None -> 2
-                 | Some s -> (
-                     match int_of_string_opt s with
-                     | Some k -> k
-                     | None ->
-                         Ringshare_error.(
-                           error
-                             (Invalid_input
-                                (Printf.sprintf
-                                   "checkpoint: bad identities field %S" s)))))
-                <> ctx.Engine.Ctx.identities
-              then
-                Ringshare_error.(
-                  error
-                    (Invalid_input
-                       (Printf.sprintf
-                          "checkpoint was written with identities %s, \
-                           resumed with %d"
-                          (Option.value ~default:"2"
-                             (List.assoc_opt "identities" fields))
-                          ctx.Engine.Ctx.identities)))
-              else
-                ( Prng.of_state (Checkpoint.int64_field fields "rng"),
-                  Checkpoint.int_field fields "next",
-                  Q.of_string (Checkpoint.field fields "best_ratio"),
-                  Checkpoint.int_field fields "best_trial",
-                  Checkpoint.int_field fields "best_v",
-                  weights_of_string (Checkpoint.field fields "best_weights"),
-                  Checkpoint.int_field fields "failed" ))
+                let ck_k =
+                  Checkpoint.legacy_int_field ~default:2 fields "identities"
+                in
+                if ck_k <> ctx.Engine.Ctx.identities then
+                  Ringshare_error.(
+                    error
+                      (Invalid_input
+                         (Printf.sprintf
+                            "checkpoint was written with identities %d, \
+                             resumed with %d"
+                            ck_k ctx.Engine.Ctx.identities)))
+                else
+                  ( Prng.of_state (Checkpoint.int64_field fields "rng"),
+                    Checkpoint.int_field fields "next",
+                    Q.of_string (Checkpoint.field fields "best_ratio"),
+                    Checkpoint.int_field fields "best_trial",
+                    Checkpoint.int_field fields "best_v",
+                    weights_of_string (Checkpoint.field fields "best_weights"),
+                    Checkpoint.int_field fields "failed" ))
   in
   let best_ratio = ref ratio0 and best_trial = ref trial0 in
   let best_v = ref v0 and best_weights = ref ws0 in

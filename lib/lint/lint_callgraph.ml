@@ -38,7 +38,7 @@
    [Mutex.protect] or under a call to a wrapper whose name starts with
    [with_] and whose body takes a mutex (Engine.Cache.with_shard); a
    whole body is guarded when it takes a mutex itself
-   (Registry.register).  Accesses and call edges carry the guard bit
+   (Failpoint.register).  Accesses and call edges carry the guard bit
    so lint_race can clear mutex-disciplined cells. *)
 
 open Parsetree

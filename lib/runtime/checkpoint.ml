@@ -105,3 +105,16 @@ let typed_field of_string what fields k =
 let int_field fields = typed_field int_of_string_opt "int" fields
 let int64_field fields = typed_field Int64.of_string_opt "int64" fields
 let bool_field fields = typed_field bool_of_string_opt "bool" fields
+
+(* A field older snapshots lack: absent reads as [default], present must
+   parse. *)
+let legacy_int_field ~default fields k =
+  match List.assoc_opt k fields with
+  | None -> default
+  | Some s -> (
+      match int_of_string_opt s with
+      | Some i -> i
+      | None ->
+          Ringshare_error.(
+            error
+              (Invalid_input (Printf.sprintf "checkpoint: bad %s field %S" k s))))

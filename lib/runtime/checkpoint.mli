@@ -34,3 +34,9 @@ val field : (string * string) list -> string -> string
 val int_field : (string * string) list -> string -> int
 val int64_field : (string * string) list -> string -> int64
 val bool_field : (string * string) list -> string -> bool
+
+val legacy_int_field : default:int -> (string * string) list -> string -> int
+(** An int field that snapshots written before it existed lack: absent
+    reads as [default] (e.g. [identities], 2 before k-way splits).
+    @raise Ringshare_error.Error ([Invalid_input]) if present but not an
+    int. *)

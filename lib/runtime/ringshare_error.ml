@@ -21,6 +21,7 @@ let to_string = function
   | Budget_exhausted { steps; elapsed } ->
       Printf.sprintf "budget exhausted after %d steps (%.2f s)" steps elapsed
   | Certificate_mismatch m -> "certificate mismatch: " ^ m
+  | Io_error { file = ""; msg } -> "io error: " ^ msg
   | Io_error { file; msg } -> Printf.sprintf "io error: %s: %s" file msg
   | Invalid_input m -> m
   | Injected { site; transient } ->

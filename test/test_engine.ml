@@ -1,5 +1,5 @@
 (* The execution engine: context defaults, the bounded sharded cache,
-   the solver registry, batch execution, and the cache's headline
+   solver names and Auto routing, batch execution, and the cache's headline
    property — a warm-cache best_attack redoes (far) fewer than half the
    cold run's decompositions yet returns the bit-identical attack. *)
 
@@ -129,37 +129,39 @@ let test_cache_rejects_bad_capacity () =
       ignore (Engine.Cache.create ~capacity:0 ()))
 
 (* ------------------------------------------------------------------ *)
-(* Registry                                                            *)
+(* Solver names and Auto routing                                       *)
 (* ------------------------------------------------------------------ *)
 
-let test_registry () =
-  Solvers.init ();
-  let names = Engine.Registry.names () in
-  List.iter
-    (fun n ->
-      Alcotest.(check bool) (n ^ " registered") true
-        (List.exists (String.equal n) names))
-    [ "brute"; "fast-chain"; "flow" ];
+(* The fixed solver vocabulary the CLI validates --solver against, and
+   Auto's one-match routing: the linear chain DP on chain graphs (paths
+   and rings alike), the generic flow solver on anything of higher
+   degree — read off the decomposition's auto_* counters. *)
+let test_solver_routing () =
+  Alcotest.(check (list string)) "solver_names"
+    [ "auto"; "brute"; "fast-chain"; "flow" ] Engine.solver_names;
   Alcotest.(check bool) "quadratic chain DP retired" true
-    (Engine.Registry.find "chain" = None);
-  Alcotest.(check bool) "find unknown" true
-    (Engine.Registry.find "simplex" = None);
-  (* auto_select reproduces the historical Auto routing: the linear
-     chain DP on chain graphs (paths and rings alike), the generic flow
-     solver on anything of higher degree *)
+    (Engine.solver_of_name "chain" = None);
   let path = Generators.path_of_ints [| 3; 1; 2 |] in
   let ring = Generators.ring_of_ints [| 3; 1; 2; 5 |] in
   let star = Generators.star (Array.map Q.of_int [| 4; 1; 1; 1 |]) in
-  let name g =
-    let (module S : Engine.SOLVER) = Engine.Registry.auto_select g in
-    S.name
+  let routed g =
+    with_obs ~metrics:true (fun () ->
+        let s0 = Obs.snapshot () in
+        ignore (Decompose.compute g);
+        let d = Obs.diff (Obs.snapshot ()) s0 in
+        match
+          ( count d "decomposition" "auto_fastchain",
+            count d "decomposition" "auto_flow" )
+        with
+        | 1, 0 -> "fast-chain"
+        | 0, 1 -> "flow"
+        | c, f -> Printf.sprintf "fastchain=%d flow=%d" c f)
   in
-  Alcotest.(check string) "path -> fast-chain" "fast-chain" (name path);
-  Alcotest.(check string) "ring -> fast-chain" "fast-chain" (name ring);
-  Alcotest.(check string) "star -> flow" "flow" (name star)
+  Alcotest.(check string) "path -> fast-chain" "fast-chain" (routed path);
+  Alcotest.(check string) "ring -> fast-chain" "fast-chain" (routed ring);
+  Alcotest.(check string) "star -> flow" "flow" (routed star)
 
 let test_solver_names () =
-  Solvers.init ();
   List.iter
     (fun (s, n) ->
       Alcotest.(check string) ("name of " ^ n) n (Engine.solver_name s);
@@ -169,7 +171,12 @@ let test_solver_names () =
       (Engine.FastChain, "fast-chain"); (Engine.Flow, "flow");
       (Engine.Brute, "brute"); (Engine.Auto, "auto");
     ];
-  Alcotest.(check bool) "unregistered name rejected" true
+  List.iter
+    (fun n ->
+      Alcotest.(check bool) ("listed " ^ n) true
+        (Engine.solver_of_name n <> None))
+    Engine.solver_names;
+  Alcotest.(check bool) "unknown name rejected" true
     (Engine.solver_of_name "simplex" = None)
 
 (* ------------------------------------------------------------------ *)
@@ -291,6 +298,136 @@ let test_request_keys_by_kind () =
         [ ("k3 cold = plain", cold); ("k3 warm = plain", warm) ])
 
 (* ------------------------------------------------------------------ *)
+(* The four attack kinds: fan-out vs checkpointed scan                *)
+(* ------------------------------------------------------------------ *)
+
+(* Every field of a result, printed: two results agree iff their
+   renderings do (vertex, weights, utilities, ratio, and for the exact
+   sweep the Qx optimum, pieces and events). *)
+let show_attack (a : Incentive.attack) =
+  Printf.sprintf "v=%d w1=%s u=%s h=%s r=%s" a.Incentive.v
+    (Q.to_string a.Incentive.w1)
+    (Q.to_string a.Incentive.utility)
+    (Q.to_string a.Incentive.honest)
+    (Q.to_string a.Incentive.ratio)
+
+let show_exact (e : Incentive.exact_attack) =
+  Printf.sprintf "%s x=%s ux=%s rx=%s pieces=%d events=%d"
+    (show_attack e.Incentive.witness)
+    (Qx.to_string e.Incentive.w1_exact)
+    (Qx.to_string e.Incentive.utility_exact)
+    (Qx.to_string e.Incentive.ratio_exact)
+    e.Incentive.pieces e.Incentive.events
+
+let show_k (a : Incentive.kattack) =
+  Printf.sprintf "v=%d ws=%s u=%s h=%s r=%s" a.Incentive.v
+    (String.concat ";" (List.map Q.to_string (Array.to_list a.Incentive.weights)))
+    (Q.to_string a.Incentive.utility)
+    (Q.to_string a.Incentive.honest)
+    (Q.to_string a.Incentive.ratio)
+
+let show_opt show = function Some a -> show a | None -> "none"
+
+(* grid 16 / refine 1 clears the grid kind's fan-out floor
+   ((16 + 1) · (1 + 1) ≥ 32), so domains 2 really fans out there too *)
+let kind_ctx ~identities ~sweep =
+  Engine.Ctx.make ~grid:16 ~refine:1 ~identities ~sweep ()
+
+(* (name, context, fan-out rendered, scan's best rendered) *)
+let attack_kinds =
+  [
+    ( "k2 grid", kind_ctx ~identities:2 ~sweep:Engine.Grid,
+      (fun ctx g -> show_attack (Incentive.best_attack ~ctx g)),
+      fun (p : Incentive.progress) -> show_opt show_attack p.Incentive.best );
+    ( "k2 exact", kind_ctx ~identities:2 ~sweep:Engine.Exact,
+      (fun ctx g -> show_exact (Incentive.best_attack_exact ~ctx g)),
+      fun p ->
+        (* under Exact the scan's [best] is the certified optimum's
+           witness *)
+        Alcotest.(check string) "best = witness of best_exact"
+          (show_opt show_attack
+             (Option.map (fun e -> e.Incentive.witness) p.Incentive.best_exact))
+          (show_opt show_attack p.Incentive.best);
+        show_opt show_exact p.Incentive.best_exact );
+    ( "k3 grid", kind_ctx ~identities:3 ~sweep:Engine.Grid,
+      (fun ctx g -> show_k (Incentive.best_attack_k ~ctx g)),
+      fun p -> show_opt show_k p.Incentive.best_k );
+    ( "k3 exact", kind_ctx ~identities:3 ~sweep:Engine.Exact,
+      (fun ctx g -> show_k (Incentive.best_attack_k ~ctx g)),
+      fun p -> show_opt show_k p.Incentive.best_k );
+  ]
+
+let kinds_ring () = Generators.ring_of_ints [| 7; 2; 9; 4; 3 |]
+
+(* The checkpointed scan and the fan-out are two walks of one
+   all-vertex maximum: for every kind, at one domain and at two, they
+   report the same winner to the last field. *)
+let test_kinds_scan_equals_fanout () =
+  let g = kinds_ring () in
+  List.iter
+    (fun (name, ctx, fanout, scanned) ->
+      List.iter
+        (fun domains ->
+          let ctx = Engine.Ctx.with_domains domains ctx in
+          let msg = Printf.sprintf "%s, domains %d" name domains in
+          let p = Incentive.best_attack_within ~ctx g in
+          Alcotest.(check bool) (msg ^ ": scan complete") true
+            (p.Incentive.status = Ok ());
+          Alcotest.(check string) msg (fanout ctx g) (scanned p))
+        [ 1; 2 ])
+    attack_kinds
+
+(* One shared cache serves all four kinds: each is its own request key,
+   so a first round stores four results and a second round hits four. *)
+let test_kinds_share_one_cache () =
+  let g = kinds_ring () in
+  with_obs ~metrics:true (fun () ->
+      let cache = Engine.Cache.create ~capacity:64 () in
+      let round () =
+        obs_delta (fun () ->
+            List.map
+              (fun (_, ctx, fanout, _) ->
+                fanout (Engine.Ctx.with_cache cache ctx) g)
+              attack_kinds)
+      in
+      let cold, d1 = round () in
+      let warm, d2 = round () in
+      Alcotest.(check int) "round 1: four stores" 4
+        (count d1 "engine" "cache_stores");
+      Alcotest.(check int) "round 1: no hits" 0 (count d1 "engine" "cache_hits");
+      Alcotest.(check int) "round 2: four hits" 4
+        (count d2 "engine" "cache_hits");
+      Alcotest.(check int) "round 2: no stores" 0
+        (count d2 "engine" "cache_stores");
+      Alcotest.(check (list string)) "warm = cold" cold warm)
+
+(* The checkpoint each kind writes after a full scan, byte for byte:
+   field names, order and serialisation are a resume format, so any
+   drift shows here as a changed digest. *)
+let test_kinds_checkpoint_pins () =
+  let g = kinds_ring () in
+  let pins =
+    [
+      ("k2 grid", "c86379da7e5e95054ee44e5e95421650");
+      ("k2 exact", "c748af737c9b0f4fa3f2322fe43c6c52");
+      ("k3 grid", "e92ad5100ef424126e4b31f4a6fbb8e2");
+      ("k3 exact", "03fb0511a3cdaebc664cbeb0ca68d64c");
+    ]
+  in
+  List.iter
+    (fun (name, ctx, _, _) ->
+      let path = Filename.temp_file "engine_kind" ".ckpt" in
+      Sys.remove path;
+      let p = Incentive.best_attack_within ~ctx ~checkpoint:path g in
+      Alcotest.(check bool) (name ^ ": complete") true
+        (p.Incentive.status = Ok ());
+      let md5 = Digest.to_hex (Digest.file path) in
+      Sys.remove path;
+      Alcotest.(check string) (name ^ ": checkpoint MD5")
+        (List.assoc name pins) md5)
+    attack_kinds
+
+(* ------------------------------------------------------------------ *)
 (* Parallel sweep inside best_attack_within (+ kill/resume)            *)
 (* ------------------------------------------------------------------ *)
 
@@ -407,10 +544,10 @@ let () =
           Alcotest.test_case "capacity >= 1 enforced" `Quick
             test_cache_rejects_bad_capacity;
         ] );
-      ( "registry",
+      ( "solvers",
         [
-          Alcotest.test_case "built-ins + auto_select routing" `Quick
-            test_registry;
+          Alcotest.test_case "solver_names + Auto routing" `Quick
+            test_solver_routing;
           Alcotest.test_case "solver name round-trips" `Quick
             test_solver_names;
         ] );
@@ -426,6 +563,15 @@ let () =
             test_exact_no_cache_no_lookups;
           Alcotest.test_case "request keys separate result kinds" `Quick
             test_request_keys_by_kind;
+        ] );
+      ( "attack kinds",
+        [
+          Alcotest.test_case "scan = fan-out, four kinds" `Quick
+            test_kinds_scan_equals_fanout;
+          Alcotest.test_case "one cache: four stores, then four hits" `Quick
+            test_kinds_share_one_cache;
+          Alcotest.test_case "checkpoint MD5 per kind" `Quick
+            test_kinds_checkpoint_pins;
         ] );
       ( "parallel sweep",
         [

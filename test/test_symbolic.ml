@@ -11,7 +11,10 @@ let test_utility_function_matches_mechanism () =
   let w1 = Q.of_ints 3 4 in
   let s = Sybil.split_free g ~v ~w1 ~w2:(Q.sub total w1) in
   let structure = Decompose.compute s.Sybil.path in
-  let num, den = Symbolic.utility_function g ~v ~structure ~v2:s.Sybil.v2 in
+  let num, den =
+    Symbolic.slice_utility_function g ~v1:v ~v2:s.Sybil.v2 ~total ~structure
+      ~ids:[| v; s.Sybil.v2 |]
+  in
   Helpers.check_q "N/D = mechanism"
     (Sybil.split_utility g ~v ~w1)
     (Q.div (Poly.eval num w1) (Poly.eval den w1))
