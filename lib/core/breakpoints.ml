@@ -47,33 +47,26 @@ let primitive_int a b c =
   let g = if a < 0 || (a = 0 && b < 0) then -g else g in
   (B.of_int (a / g), B.of_int (b / g), B.of_int (c / g))
 
-(* A hash set of triples emptied in O(1): a slot is live only while its
+(* Hash sets of triples emptied in O(1): a slot is live only while its
    stamp is the current generation, so [clear] bumps the generation.
    Linear probing over a power-of-two table that doubles at half load;
    slot i keeps its triple at keys.(3i .. 3i+2).  The sweep allocates
    its sets once and clears them per sample: per-sample tables past the
-   minor heap's size limit are allocated straight on the major heap. *)
-module Stamped (E : sig
-  include Hashtbl.HashedType
-
-  val zero : t
-end) =
-struct
+   minor heap's size limit are allocated straight on the major heap.
+   [Prims] holds the primitive Bigint triples, one entry per distinct
+   candidate; [Raws] the raw difference triples of the native-int
+   replay, on an [int array] so every probe and store is a native
+   compare and an unboxed write. *)
+module Prims = struct
   type t = {
     mutable gen : int;
     mutable size : int;
     mutable stamps : int array;
-    mutable keys : E.t array;
+    mutable keys : B.t array;
   }
 
   let create () =
-    let slots = 64 in
-    {
-      gen = 1;
-      size = 0;
-      stamps = Array.make slots 0;
-      keys = Array.make (3 * slots) E.zero;
-    }
+    { gen = 1; size = 0; stamps = Array.make 64 0; keys = Array.make 192 B.zero }
 
   let clear t =
     t.gen <- t.gen + 1;
@@ -86,13 +79,13 @@ struct
     let mask = Array.length t.stamps - 1 and k = t.keys in
     let rec probe i =
       if not (Int.equal t.stamps.(i) t.gen) then i
-      else if E.equal k.(3 * i) a && E.equal k.((3 * i) + 1) b
-              && E.equal k.((3 * i) + 2) c
+      else if B.equal k.(3 * i) a && B.equal k.((3 * i) + 1) b
+              && B.equal k.((3 * i) + 2) c
       then -1
       else probe ((i + 1) land mask)
     in
-    let mix h x = (h * 0x9E3779B97F4A7C1) + E.hash x in
-    let h = mix (mix (E.hash a) b) c in
+    let mix h x = (h * 0x9E3779B97F4A7C1) + B.hash x in
+    let h = mix (mix (B.hash a) b) c in
     let i = probe ((h lxor (h lsr 29)) land mask) in
     if i < 0 then false
     else if 2 * (t.size + 1) > Array.length t.stamps then begin
@@ -111,7 +104,7 @@ struct
   and grow t =
     let stamps = t.stamps and keys = t.keys in
     t.stamps <- Array.make (2 * Array.length stamps) 0;
-    t.keys <- Array.make (2 * Array.length keys) E.zero;
+    t.keys <- Array.make (2 * Array.length keys) B.zero;
     t.size <- 0;
     Array.iteri
       (fun i s ->
@@ -120,16 +113,61 @@ struct
       stamps
 end
 
-(* Primitive triples: one entry per distinct candidate. *)
-module Prims = Stamped (B)
+module Raws = struct
+  type t = {
+    mutable gen : int;
+    mutable size : int;
+    mutable stamps : int array;
+    mutable keys : int array;
+  }
 
-(* Raw difference triples of the native-int replay ([add] mixes the
-   components itself). *)
-module Raws = Stamped (struct
-  include Int
+  let create () =
+    { gen = 1; size = 0; stamps = Array.make 64 0; keys = Array.make 192 0 }
 
-  let hash x = x
-end)
+  let clear t =
+    t.gen <- t.gen + 1;
+    t.size <- 0
+
+  let rec add t a b c =
+    let mask = Array.length t.stamps - 1 and k = t.keys and gen = t.gen in
+    let h = (((a * 0x9E3779B97F4A7C1) + b) * 0x9E3779B97F4A7C1) + c in
+    let i = ref ((h lxor (h lsr 29)) land mask) in
+    (* stop at the triple, or at the free slot ending its probe run *)
+    while
+      Int.equal t.stamps.(!i) gen
+      && not
+           (Int.equal k.(3 * !i) a
+           && Int.equal k.((3 * !i) + 1) b
+           && Int.equal k.((3 * !i) + 2) c)
+    do
+      i := (!i + 1) land mask
+    done;
+    let i = !i in
+    if Int.equal t.stamps.(i) gen then false
+    else if 2 * (t.size + 1) > Array.length t.stamps then begin
+      grow t;
+      add t a b c
+    end
+    else begin
+      t.stamps.(i) <- gen;
+      k.(3 * i) <- a;
+      k.((3 * i) + 1) <- b;
+      k.((3 * i) + 2) <- c;
+      t.size <- t.size + 1;
+      true
+    end
+
+  and grow t =
+    let stamps = t.stamps and keys = t.keys in
+    t.stamps <- Array.make (2 * Array.length stamps) 0;
+    t.keys <- Array.make (2 * Array.length keys) 0;
+    t.size <- 0;
+    Array.iteri
+      (fun i s ->
+        if Int.equal s t.gen then
+          ignore (add t keys.(3 * i) keys.((3 * i) + 1) keys.((3 * i) + 2)))
+      stamps
+end
 
 module Masks = Hashtbl.Make (struct
   type t = Vset.t
@@ -138,36 +176,78 @@ module Masks = Hashtbl.Make (struct
   let hash s = Vset.fold (fun v h -> (h * 31) + v) s 0
 end)
 
+(* Scratch of the native-int replay, grown to the largest component it
+   replays.  Every cost is four int lanes (a, b, c, v) — a·y² + b·y + c
+   and its value v at the sample — at lanes 4i .. 4i+3 of its cell i:
+   the gam/sch charges per position, the four take-in charges of
+   [Flat.deltas] per position (cells 4·position + state), the F/B
+   tables per (position, state) cell 4·position + state, and the forced
+   minima per position, with the component minimum in cell k.  A
+   presence byte per F/B/forced cell stands for the kernel's [None]. *)
+type flat = {
+  mutable cap : int;
+  mutable gam : int array;
+  mutable sch : int array;
+  mutable dlt : int array;
+  mutable fwd : int array;
+  mutable bwd : int array;
+  mutable fp : Bytes.t;
+  mutable bp : Bytes.t;
+  mutable fm : int array;
+  mutable fmp : Bytes.t;
+}
+
+let ensure s k =
+  if k > s.cap then begin
+    let cap = Int.max k (Int.max 16 (2 * s.cap)) in
+    s.cap <- cap;
+    s.gam <- Array.make (4 * cap) 0;
+    s.sch <- Array.make (4 * cap) 0;
+    s.dlt <- Array.make (16 * cap) 0;
+    s.fwd <- Array.make (16 * cap) 0;
+    s.bwd <- Array.make (16 * cap) 0;
+    s.fp <- Bytes.make (4 * cap) '\000';
+    s.bp <- Bytes.make (4 * cap) '\000';
+    s.fm <- Array.make (4 * (cap + 1)) 0;
+    s.fmp <- Bytes.make (cap + 1) '\000'
+  end
+
 (* What one sweep's samples share: the components of each stage mask
-   (the split graph's edges do not move with x, so neither do they) and
-   the two record-time dedupe sets, cleared per sample. *)
+   (the split graph's edges do not move with x, so neither do they),
+   the two record-time dedupe sets and the candidate list, cleared per
+   sample, and the native-int replay's scratch.  A sweep runs on one
+   domain, so its scratch is never shared. *)
 type tables = {
   comps : Chain_fast.component list Masks.t;
   raws : Raws.t;
   prims : Prims.t;
+  mutable cands : (B.t * B.t * B.t) list;
+  flat : flat;
 }
 
 let tables () =
-  { comps = Masks.create 16; raws = Raws.create (); prims = Prims.create () }
+  {
+    comps = Masks.create 16;
+    raws = Raws.create ();
+    prims = Prims.create ();
+    cands = [];
+    flat =
+      {
+        cap = 0;
+        gam = [||];
+        sch = [||];
+        dlt = [||];
+        fwd = [||];
+        bwd = [||];
+        fp = Bytes.empty;
+        bp = Bytes.empty;
+        fm = [||];
+        fmp = Bytes.empty;
+      };
+  }
 
-(* A replay cost: a·y² + b·y + c and its value v at the sample. *)
-type 'n cost = { a : 'n; b : 'n; c : 'n; v : 'n }
-
-let map2 f p q =
-  { a = f p.a q.a; b = f p.b q.b; c = f p.c q.c; v = f p.v q.v }
-
-module type SCALAR = sig
-  type t
-
-  val zero : t
-  val one : t
-  val neg : t -> t
-  val add : t -> t -> t
-  val sub : t -> t -> t
-  val mul : t -> t -> t
-  val compare : t -> t -> int
-  val of_bigint : B.t -> t
-end
+let add_primitive t ((a, b, c) as q) =
+  if Prims.add t.prims a b c then t.cands <- q :: t.cands
 
 (* Sensitivity analysis of the greedy stages.  The stage-i solve finds
    the maximal minimiser of w(Γ(S)) − α_i·w(S) over the masked subgraph
@@ -186,82 +266,329 @@ end
    carried as a quadratic in y, multiplied through by wb_i so the stage
    charge −α_i·w_u becomes the polynomial −wc_i·w_u.  Comparisons are
    resolved by the cost's value at the sample, which it carries beside
-   its coefficients (ties keep the earlier branch), and [record p q] is
-   told the difference p − q of every comparison.  It is written once
-   over the scalar: native ints when the sample's scale admits them
-   (DESIGN §16, [int_replay_bound]), Bigint otherwise. *)
-module Replay (N : SCALAR) = struct
-  let signed s x = if s = 0 then N.zero else if s > 0 then x else N.neg x
+   its coefficients (ties keep the earlier branch), and every comparison
+   records the difference p − q of its two costs.  Two copies: [Flat]
+   on native ints when the sample's scale admits them (DESIGN §16,
+   [int_replay_bound]), and [Boxed], the Bigint instance of the kernel,
+   otherwise.  [stages] lists, per stage, the components to replay and
+   the stage pair's weights (B, C) as scaled affine functions of y;
+   [ws] holds the sample's scaled weights, [ytot] the scaled total, and
+   [v2] is -1 when only [v1] varies. *)
 
-  (* ω·P for the scaled affine functions ω = cw + sw·y and P = cp + sp·y
-     (slopes in {−1, 0, 1}), valued at [py] as the product of the two
-     values *)
+(* The native-int replay: the [Chain_fast] kernel's comparisons, in its
+   order, on the flat lanes.  [record] dedupes the raw difference
+   before any gcd; only a new raw triple pays for its primitive form. *)
+module Flat = struct
+  let record t a b c =
+    if (a <> 0 || b <> 0) && Raws.add t.raws a b c then
+      add_primitive t (primitive_int a b c)
+
+  let present p cell = Bytes.get p cell <> '\000'
+
+  (* typed, so every store is a plain int write: a polymorphic [store]
+     would go through the write barrier *)
+  let store (tab : int array) o a b c v =
+    tab.(o) <- a;
+    tab.(o + 1) <- b;
+    tab.(o + 2) <- c;
+    tab.(o + 3) <- v
+
+  (* cell ← better cell (a, b, c, v): an absent cell takes the
+     candidate; a present one records its difference to it and keeps
+     itself on a tie *)
+  let offer t tab pres cell a b c v =
+    let o = 4 * cell in
+    if not (present pres cell) then begin
+      Bytes.set pres cell '\001';
+      store tab o a b c v
+    end
+    else begin
+      let da = tab.(o) - a and db = tab.(o + 1) - b and dc = tab.(o + 2) - c in
+      if tab.(o + 3) > v then store tab o a b c v;
+      record t da db dc
+    end
+
+  (* The charge of taking s_j = true after position j−1 in state
+     st = 2·s + counted: (1 − counted)·gam(j−1) + s·gam(j) − sch(j),
+     into lanes 16j + 4st of [s.dlt], for 1 ≤ j < k.  The forward step
+     into j and the backward step out of j−1 both pay it. *)
+  let deltas s k =
+    let g = s.gam and h = s.sch and d = s.dlt in
+    for j = 1 to k - 1 do
+      for l = 0 to 3 do
+        let gp = g.((4 * (j - 1)) + l) and gj = g.((4 * j) + l)
+        and hj = h.((4 * j) + l) and o = (16 * j) + l in
+        d.(o) <- gp - hj;
+        d.(o + 4) <- -hj;
+        d.(o + 8) <- gp + gj - hj;
+        d.(o + 12) <- gj - hj
+      done
+    done
+
+  (* The kernel's [forward]: from state st = 2·s + counted at position
+     i−1, leaving s_i out costs s·gam(i) and taking it in costs the
+     delta of st at i. *)
+  let forward t s k =
+    let f = s.fwd and fp = s.fp and g = s.gam and d = s.dlt in
+    for i = 1 to k - 1 do
+      Bytes.fill fp (4 * i) 4 '\000';
+      let r = 4 * i in
+      for st = 0 to 3 do
+        let cell = r - 4 + st in
+        if present fp cell then begin
+          let o = 4 * cell and dj = (16 * i) + (4 * st) in
+          let qa = f.(o) and qb = f.(o + 1) and qc = f.(o + 2)
+          and qv = f.(o + 3) in
+          if st < 2 then offer t f fp r qa qb qc qv
+          else
+            offer t f fp (r + 1) (qa + g.(r)) (qb + g.(r + 1)) (qc + g.(r + 2))
+              (qv + g.(r + 3));
+          offer t f fp
+            (r + 2 + (st lsr 1))
+            (qa + d.(dj))
+            (qb + d.(dj + 1))
+            (qc + d.(dj + 2))
+            (qv + d.(dj + 3))
+        end
+      done
+    done
+
+  (* The kernel's [backward]: position i in state st = 2·s + counted
+     continues into s_{i+1} = false at s·gam(i+1), or into
+     s_{i+1} = true at the delta of st at i+1. *)
+  let backward t s k =
+    let b = s.bwd and bp = s.bp and g = s.gam and d = s.dlt in
+    for i = k - 2 downto 0 do
+      Bytes.fill bp (4 * i) 4 '\000';
+      let r = 4 * (i + 1) in
+      for st = 0 to 3 do
+        let cell = (4 * i) + st and sp = st lsr 1 in
+        let n0 = r + sp in
+        if present bp n0 then begin
+          let o = 4 * n0 in
+          if sp = 0 then offer t b bp cell b.(o) b.(o + 1) b.(o + 2) b.(o + 3)
+          else
+            offer t b bp cell
+              (b.(o) + g.(r))
+              (b.(o + 1) + g.(r + 1))
+              (b.(o + 2) + g.(r + 2))
+              (b.(o + 3) + g.(r + 3))
+        end;
+        let n1 = n0 + 2 in
+        if present bp n1 then begin
+          let o = 4 * n1 and dj = (16 * (i + 1)) + (4 * st) in
+          offer t b bp cell
+            (b.(o) + d.(dj))
+            (b.(o + 1) + d.(dj + 1))
+            (b.(o + 2) + d.(dj + 2))
+            (b.(o + 3) + d.(dj + 3))
+        end
+      done
+    done
+
+  (* The kernel's [forced_at] offered into forced cell u: the better of
+     the two combines F(u) + B(u) over the Γ-flag of u, states 2 and 3 *)
+  let forced_at t s u =
+    let f = s.fwd and b = s.bwd in
+    let c0 = (4 * u) + 2 and c1 = (4 * u) + 3 in
+    let p0 = present s.fp c0 && present s.bp c0
+    and p1 = present s.fp c1 && present s.bp c1 in
+    let o0 = 4 * c0 and o1 = 4 * c1 in
+    if p0 && p1 then begin
+      let a0 = f.(o0) + b.(o0) and b0 = f.(o0 + 1) + b.(o0 + 1)
+      and x0 = f.(o0 + 2) + b.(o0 + 2) and v0 = f.(o0 + 3) + b.(o0 + 3) in
+      let a1 = f.(o1) + b.(o1) and b1 = f.(o1 + 1) + b.(o1 + 1)
+      and x1 = f.(o1 + 2) + b.(o1 + 2) and v1 = f.(o1 + 3) + b.(o1 + 3) in
+      record t (a0 - a1) (b0 - b1) (x0 - x1);
+      if v0 <= v1 then offer t s.fm s.fmp u a0 b0 x0 v0
+      else offer t s.fm s.fmp u a1 b1 x1 v1
+    end
+    else if p0 || p1 then begin
+      let o = if p0 then o0 else o1 in
+      offer t s.fm s.fmp u
+        (f.(o) + b.(o))
+        (f.(o + 1) + b.(o + 1))
+        (f.(o + 2) + b.(o + 2))
+        (f.(o + 3) + b.(o + 3))
+    end
+
+  (* The kernel's [solve]: forced minima in cells 0 .. k−1 and the
+     component minimum in cell k of [s.fm], in the kernel's order (on a
+     path the forced minima come before the final fold: OCaml evaluates
+     the kernel's result pair right to left). *)
+  let solve t s ~cycle k =
+    let f = s.fwd and b = s.bwd and g = s.gam and h = s.sch in
+    Bytes.fill s.fmp 0 (k + 1) '\000';
+    deltas s k;
+    if not cycle then begin
+      Bytes.fill s.fp 0 4 '\000';
+      Bytes.set s.fp 0 '\001';
+      store f 0 0 0 0 0;
+      Bytes.set s.fp 2 '\001';
+      store f 8 (-h.(0)) (-h.(1)) (-h.(2)) (-h.(3));
+      Bytes.fill s.bp (4 * (k - 1)) 4 '\001';
+      for st = 0 to 3 do
+        store b (4 * ((4 * (k - 1)) + st)) 0 0 0 0
+      done;
+      forward t s k;
+      backward t s k;
+      for u = 0 to k - 1 do
+        forced_at t s u
+      done;
+      for st = 0 to 3 do
+        let cell = (4 * (k - 1)) + st in
+        if present s.fp cell then begin
+          let o = 4 * cell in
+          offer t s.fm s.fmp k f.(o) f.(o + 1) f.(o + 2) f.(o + 3)
+        end
+      done
+    end
+    else
+      (* cut between positions k−1 and 0, conditioned on
+         (a, bb) = (s_0, s_{k−1}) as in the kernel *)
+      for a = 0 to 1 do
+        for bb = 0 to 1 do
+          Bytes.fill s.fp 0 4 '\000';
+          let cell = (2 * a) + bb in
+          Bytes.set s.fp cell '\001';
+          store f (4 * cell)
+            ((bb * g.(0)) - (a * h.(0)))
+            ((bb * g.(1)) - (a * h.(1)))
+            ((bb * g.(2)) - (a * h.(2)))
+            ((bb * g.(3)) - (a * h.(3)));
+          let gl = 4 * (k - 1) in
+          for st = 0 to 3 do
+            let cell = (4 * (k - 1)) + st in
+            if st lsr 1 <> bb then Bytes.set s.bp cell '\000'
+            else begin
+              Bytes.set s.bp cell '\001';
+              let e = a * (1 - (st land 1)) in
+              store b (4 * cell) (e * g.(gl))
+                (e * g.(gl + 1))
+                (e * g.(gl + 2))
+                (e * g.(gl + 3))
+            end
+          done;
+          forward t s k;
+          backward t s k;
+          for st = 0 to 3 do
+            let cell = (4 * (k - 1)) + st in
+            if present s.fp cell && present s.bp cell then begin
+              let o = 4 * cell in
+              offer t s.fm s.fmp k
+                (f.(o) + b.(o))
+                (f.(o + 1) + b.(o + 1))
+                (f.(o + 2) + b.(o + 2))
+                (f.(o + 3) + b.(o + 3))
+            end
+          done;
+          for u = 0 to k - 1 do
+            forced_at t s u
+          done
+        done
+      done
+
+  (* ω·P into lanes [o] for the scaled affine functions ω = cw + sw·y
+     and P = cp + sp·y (slopes in {−1, 0, 1}), valued at [py] as the
+     product of the two values *)
+  let product lanes o ~py cw sw cp sp =
+    store lanes o (sw * sp)
+      ((sp * cw) + (sw * cp))
+      (cw * cp)
+      ((cw + (sw * py)) * (cp + (sp * py)))
+
+  let run t ~ws ~py ~ytot ~v1 ~v2 stages =
+    let s = t.flat in
+    let py = B.to_int_exn py and ytot = B.to_int_exn ytot in
+    let ws = Array.map B.to_int_exn ws in
+    List.iter
+      (fun (comps, (cb, sb), (cc, sc)) ->
+        let cb = B.to_int_exn cb and cc = B.to_int_exn cc in
+        List.iter
+          (fun { Chain_fast.verts; cycle } ->
+            let k = Array.length verts in
+            ensure s k;
+            Array.iteri
+              (fun i u ->
+                let sw = if u = v1 then 1 else if u = v2 then -1 else 0 in
+                let cw = if u = v1 then 0 else if u = v2 then ytot else ws.(u) in
+                product s.gam (4 * i) ~py cw sw cb sb;
+                product s.sch (4 * i) ~py cw sw cc sc)
+              verts;
+            Obs.Span.with_ "dp" (fun () -> solve t s ~cycle k);
+            if not (present s.fmp k) then
+              Ringshare_error.(error (Infeasible_dp "Chain_fast: empty table"));
+            (* the component minimum crossing zero changes which
+               components achieve the stage ratio *)
+            let fm = s.fm and m = 4 * k in
+            record t fm.(m) fm.(m + 1) fm.(m + 2);
+            for u = 0 to k - 1 do
+              if present s.fmp u then
+                let o = 4 * u in
+                record t (fm.(o) - fm.(m))
+                  (fm.(o + 1) - fm.(m + 1))
+                  (fm.(o + 2) - fm.(m + 2))
+            done)
+          comps)
+      stages
+end
+
+(* The Bigint replay: the [Chain_fast] kernel over boxed costs whose
+   [better] records each comparison. *)
+module Boxed = struct
+  (* A replay cost: a·y² + b·y + c and its value v at the sample. *)
+  type cost = { a : B.t; b : B.t; c : B.t; v : B.t }
+
+  let map2 f p q =
+    { a = f p.a q.a; b = f p.b q.b; c = f p.c q.c; v = f p.v q.v }
+
+  let zero = { a = B.zero; b = B.zero; c = B.zero; v = B.zero }
+  let signed s x = if s = 0 then B.zero else if s > 0 then x else B.neg x
+
+  (* [Flat.product] on Bigint costs *)
   let product py (cw, sw) (cp, sp) =
     {
-      a = signed (sw * sp) N.one;
-      b = N.add (signed sp cw) (signed sw cp);
-      c = N.mul cw cp;
-      v = N.mul (N.add cw (signed sw py)) (N.add cp (signed sp py));
+      a = signed (sw * sp) B.one;
+      b = B.add (signed sp cw) (signed sw cp);
+      c = B.mul cw cp;
+      v = B.mul (B.add cw (signed sw py)) (B.add cp (signed sp py));
     }
 
-  (* [stages] lists, per stage, the components to replay and the stage
-     pair's weights (B, C) as scaled affine functions of y; [ws] holds
-     the sample's scaled weights, [ytot] the scaled total, and [v2] is
-     -1 when only [v1] varies. *)
   let run ~record ~ws ~py ~ytot ~v1 ~v2 stages =
-    let zero = { a = N.zero; b = N.zero; c = N.zero; v = N.zero } in
+    let record p q = record (B.sub p.a q.a, B.sub p.b q.b, B.sub p.c q.c) in
     let module Dp = Chain_fast.Make (struct
-      type t = N.t cost
+      type t = cost
 
       let zero = zero
-
-      let add = map2 N.add
-      let sub = map2 N.sub
+      let add = map2 B.add
+      let sub = map2 B.sub
 
       let better x y =
         match (x, y) with
         | None, z | z, None -> z
         | Some p, Some q ->
             record p q;
-            if N.compare p.v q.v <= 0 then x else y
+            if B.compare p.v q.v <= 0 then x else y
     end) in
-    let py = N.of_bigint py and ytot = N.of_bigint ytot in
     let affv u =
-      if u = v1 then (N.zero, 1)
-      else if u = v2 then (ytot, -1)
-      else (N.of_bigint ws.(u), 0)
+      if u = v1 then (B.zero, 1) else if u = v2 then (ytot, -1) else (ws.(u), 0)
     in
-    let aff (c, s) = (N.of_bigint c, s) in
     List.iter
       (fun (comps, awb, awc) ->
-        let awb = aff awb and awc = aff awc in
         List.iter
           (fun { Chain_fast.verts; cycle } ->
             let gam = Array.map (fun u -> product py (affv u) awb) verts
             and sch = Array.map (fun u -> product py (affv u) awc) verts in
             let mq, forced =
-              Dp.solve ~cycle ~gam:(Array.get gam) ~sch:(Array.get sch)
-                (Array.length verts)
+              Obs.Span.with_ "dp" (fun () ->
+                  Dp.solve ~cycle ~gam:(Array.get gam) ~sch:(Array.get sch)
+                    (Array.length verts))
             in
-            (* the component minimum crossing zero changes which
-               components achieve the stage ratio *)
             record mq zero;
             Array.iter (function None -> () | Some fq -> record fq mq) forced)
           comps)
       stages
 end
-
-module Replay_int = Replay (struct
-  include Int
-
-  let of_bigint = B.to_int_exn
-end)
-
-module Replay_big = Replay (struct
-  include B
-
-  let of_bigint x = x
-end)
 
 (* The native-int replay's admission bound on T = D·(Σ fixed weights +
    total), which bounds the graph's weight sum in y-units at every
@@ -302,7 +629,7 @@ type candidates = {
      - wc_i - wb_i = 0           (alpha_i reaching 1),
      - wc_i*wb_{i+1} - wc_{i+1}*wb_i = 0   (adjacent alphas crossing)
    all keep their sign, together with the stage-DP differences from
-   [Replay] (which make the family complete — see there).  A constant
+   the stage replay (which make the family complete — see there).  A constant
    keeps its sign everywhere, so only triples with a nonzero y or y²
    coefficient are kept.  [v1] carries x and [v2] (-1 for none)
    total − x; [bigint] forces the Bigint replay. *)
@@ -342,14 +669,11 @@ let exact_candidates ~tables ~bigint path ~v1 ~v2 ~total ~p
      thousands on big paths, with heavy duplication (the same gap is
      re-compared along the path).  Dedupe at record time by primitive
      form, before any of them reaches the root selection. *)
-  let cands = ref [] in
   Raws.clear tables.raws;
   Prims.clear tables.prims;
-  let add_primitive ((a, b, c) as q) =
-    if Prims.add tables.prims a b c then cands := q :: !cands
-  in
+  tables.cands <- [];
   let record ((a, b, _) as q) =
-    if not (B.is_zero a && B.is_zero b) then add_primitive (primitive q)
+    if not (B.is_zero a && B.is_zero b) then add_primitive tables (primitive q)
   in
   Obs.Span.with_ "stage_replay" (fun () ->
       (* The stages to replay, each with its components.  A component
@@ -388,22 +712,11 @@ let exact_candidates ~tables ~bigint path ~v1 ~v2 ~total ~p
       if (not bigint) && B.compare !t (B.of_int int_replay_bound) <= 0
       then begin
         Obs.Counter.incr c_int_replays;
-        (* Dedupe raw triples first: a hit costs no gcd.  Only a new raw
-           triple is reduced to its primitive form. *)
-        let record p q =
-          let a = p.a - q.a and b = p.b - q.b in
-          if a <> 0 || b <> 0 then begin
-            let c = p.c - q.c in
-            if Raws.add tables.raws a b c then
-              add_primitive (primitive_int a b c)
-          end
-        in
-        Replay_int.run ~record ~ws ~py ~ytot ~v1 ~v2 stages
+        Flat.run tables ~ws ~py ~ytot ~v1 ~v2 stages
       end
       else begin
         Obs.Counter.incr c_bigint_replays;
-        let record p q = record (B.sub p.a q.a, B.sub p.b q.b, B.sub p.c q.c) in
-        Replay_big.run ~record ~ws ~py ~ytot ~v1 ~v2 stages
+        Boxed.run ~record ~ws ~py ~ytot ~v1 ~v2 stages
       end);
   Obs.Counter.add c_dp_candidates (Prims.length tables.prims);
   List.iter
@@ -419,7 +732,7 @@ let exact_candidates ~tables ~bigint path ~v1 ~v2 ~total ~p
     | _ -> ()
   in
   adjacent pairs;
-  { d; py; ytot; cands = !cands }
+  { d; py; ytot; cands = tables.cands }
 
 (* Nearest-root selection, first pass, in integers only.  A real root of
    a primitive triple is bracketed in y as [lo/den, hi/den] (den > 0);

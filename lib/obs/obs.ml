@@ -125,10 +125,22 @@ module Span = struct
         insert ()
 
   (* Per-domain stack of full span paths: nesting is tracked where the
-     call happens, so a span opened inside a Parwork worker starts a
-     fresh path on that domain rather than racing a shared stack. *)
+     call happens, so no two domains race one stack.  A Parwork task
+     carries its submitter's path across domains through [path] and
+     [under]. *)
   let stack_key : string list Domain.DLS.key =
     Domain.DLS.new_key (fun () -> [])
+
+  let path () =
+    match Domain.DLS.get stack_key with [] -> "" | p :: _ -> p
+
+  let under parent f =
+    if not config.spans then f ()
+    else begin
+      let stack = Domain.DLS.get stack_key in
+      Domain.DLS.set stack_key (if String.equal parent "" then [] else [ parent ]);
+      Fun.protect ~finally:(fun () -> Domain.DLS.set stack_key stack) f
+    end
 
   (* The single sanctioned wall-clock/float boundary of the library:
      span durations are *reporting* output, never solver input. *)

@@ -76,6 +76,16 @@ module Span : sig
       (count, total nanoseconds) is exact-int; the clock read is the
       library's single sanctioned wall-clock/float boundary. *)
 
+  val path : unit -> string
+  (** The path of the innermost span open on this domain, [""] when
+      none is. *)
+
+  val under : string -> (unit -> 'a) -> 'a
+  (** [under parent f] runs [f ()] with [parent] (a {!path} reading,
+      possibly from another domain) as this domain's open span path, so
+      spans [f] opens nest under it; the domain's own path is restored
+      afterwards.  When spans are disabled this is exactly [f ()]. *)
+
   type record = { path : string; count : int; total_ns : int }
 
   val records : unit -> record list

@@ -24,10 +24,12 @@ let map ?domains f xs =
   Obs.Counter.add c_tasks n;
   (* the task failpoint fires outside any per-task exception handling
      the caller installed inside [f], so an injected fault exercises the
-     worker-death path, not the caller's isolation path *)
+     worker-death path, not the caller's isolation path; a task's spans
+     nest under the submitter's open span on whichever domain runs it *)
+  let parent = Obs.Span.path () in
   let run x =
     Failpoint.hit fp_task;
-    f x
+    Obs.Span.under parent (fun () -> f x)
   in
   if n = 0 then [||]
   else if domains = 1 || n = 1 then Array.map run xs

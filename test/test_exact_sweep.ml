@@ -220,10 +220,12 @@ let test_counters_tick () =
    send components to the driver's scaled-Bigint fallback; the sweep's
    own samples are small dyadics, so every stage replay runs on native
    ints. *)
+let pin_dists =
+  Weights.[| Bimodal (1, 100, 0.3); Uniform (1, 100); Powerlaw (1000, 2.0) |]
+
+let pin_ring seed = Instances.ring ~seed ~n:10 pin_dists.(seed mod 3)
+
 let test_attack_work_pin () =
-  let dists =
-    Weights.[| Bimodal (1, 100, 0.3); Uniform (1, 100); Powerlaw (1000, 2.0) |]
-  in
   let ctx = Engine.Ctx.make ~obs:true ~sweep:Engine.Exact () in
   Obs.set_metrics true;
   let before = Obs.snapshot () in
@@ -231,8 +233,7 @@ let test_attack_work_pin () =
     ~finally:(fun () -> Obs.set_metrics false)
     (fun () ->
       for seed = 1 to 30 do
-        let g = Instances.ring ~seed ~n:10 dists.(seed mod 3) in
-        ignore (Incentive.best_attack_exact ~ctx g)
+        ignore (Incentive.best_attack_exact ~ctx (pin_ring seed))
       done);
   let d = Obs.diff (Obs.snapshot ()) before in
   let count subsystem name = Obs.counter_value d ~subsystem name in
@@ -246,6 +247,30 @@ let test_attack_work_pin () =
   Alcotest.(check (pair int int)) "(native-int, Bigint) stage replays"
     (3_093, 0)
     (count "breakpoints" "int_replays", count "breakpoints" "bigint_replays")
+
+(* -------------------------------------------------------------------- *)
+(* 7. Domain safety of the per-sweep replay scratch                      *)
+(* -------------------------------------------------------------------- *)
+
+(* Each sweep owns its native-int replay scratch, so the per-vertex
+   sweeps of best_attack_exact may run on two domains at once: every
+   exact field of the work-pin battery must match the one-domain run. *)
+let test_attack_domains () =
+  let exact domains seed =
+    let ctx = Engine.Ctx.make ~sweep:Engine.Exact ~domains () in
+    let e = Incentive.best_attack_exact ~ctx (pin_ring seed) in
+    Printf.sprintf "v %d w1 %s u %s ratio %s pieces %d events %d"
+      e.Incentive.witness.Incentive.v
+      (Qx.to_string e.Incentive.w1_exact)
+      (Qx.to_string e.Incentive.utility_exact)
+      (Qx.to_string e.Incentive.ratio_exact)
+      e.Incentive.pieces e.Incentive.events
+  in
+  for seed = 1 to 30 do
+    Alcotest.(check string)
+      (Printf.sprintf "seed %d: domains 2 = domains 1" seed)
+      (exact 1 seed) (exact 2 seed)
+  done
 
 let () =
   Alcotest.run "exact_sweep"
@@ -263,5 +288,7 @@ let () =
           Alcotest.test_case "exact counters tick" `Quick test_counters_tick;
           Alcotest.test_case "best_attack_exact work pin" `Quick
             test_attack_work_pin;
+          Alcotest.test_case "best_attack_exact at domains 2" `Quick
+            test_attack_domains;
         ] );
     ]

@@ -184,9 +184,28 @@ let test_exact_span_nesting () =
           "cover";
           "cover/stage_replay";
           "cover/stage_replay/components";
+          "cover/stage_replay/dp";
           "merge";
           "point_pieces";
         ])
+
+(* A Parwork task's spans nest under the span that submitted it, on
+   whichever domain runs it: the per-vertex fan-out of best_attack_exact
+   reports the same span paths, each as often, at domains 1 and 2. *)
+let test_worker_spans_nest () =
+  let spans domains =
+    with_obs ~spans:true (fun () ->
+        let ctx = Engine.Ctx.make ~sweep:Engine.Exact ~domains () in
+        ignore (Incentive.best_attack_exact ~ctx (e1_ring ()));
+        List.map
+          (fun (r : Obs.Span.record) -> (r.path, r.count))
+          (Obs.Span.records ()))
+  in
+  let one = spans 1 in
+  Alcotest.(check bool) "per-vertex sweeps nest under best_attack_exact" true
+    (List.mem_assoc "best_attack_exact/best_split_exact" one);
+  Alcotest.(check (list (pair string int))) "same span paths and counts" one
+    (spans 2)
 
 (* --- snapshot / diff / registry ----------------------------------- *)
 
@@ -318,6 +337,8 @@ let () =
           Alcotest.test_case "span nesting paths" `Quick test_span_nesting;
           Alcotest.test_case "exact sweep span nesting" `Quick
             test_exact_span_nesting;
+          Alcotest.test_case "worker spans nest under the submitter" `Quick
+            test_worker_spans_nest;
         ] );
       ( "substrate",
         [
