@@ -457,11 +457,11 @@ let smoke_exact_dominance () =
      evaluations than the default grid spends approximating it *)
   let g = ring 8 in
   let base = Obs.snapshot () in
-  ignore (Incentive.best_attack ~ctx:(Engine.Ctx.make ~obs:true ()) g);
+  ignore (Incentive.best_attack ~ctx:(Engine.Ctx.make ()) g);
   let mid = Obs.snapshot () in
   ignore
     (Incentive.best_attack_exact
-       ~ctx:(Engine.Ctx.make ~sweep:Engine.Exact ~obs:true ()) g);
+       ~ctx:(Engine.Ctx.make ~sweep:Engine.Exact ()) g);
   let fin = Obs.snapshot () in
   let c older newer name =
     Obs.counter_value (Obs.diff newer older) ~subsystem:"incentive" name
@@ -478,16 +478,16 @@ let smoke_exact_dominance () =
 let smoke_kway_bound () =
   (* the k-way claims, machine-checked on every runtest: the 2-split
      plane embeds in the 3-simplex so the k=3 sweep can only improve on
-     the k=2 one, the simplex counters actually tick, and on the record
+     the k=2 one, its memo counters tick on their own, and on the record
      ring the 3-way optimum clears Theorem 8's 2-identity bound *)
   let g5 = Generators.ring_of_ints [| 7; 2; 9; 4; 3 |] in
-  let base = Obs.snapshot () in
   let a2 =
-    Incentive.best_attack ~ctx:(Engine.Ctx.make ~grid:8 ~refine:1 ~obs:true ()) g5
+    Incentive.best_attack ~ctx:(Engine.Ctx.make ~grid:8 ~refine:1 ()) g5
   in
+  let base = Obs.snapshot () in
   let a3 =
     Incentive.best_attack_k
-      ~ctx:(Engine.Ctx.make ~grid:8 ~refine:1 ~identities:3 ~obs:true ())
+      ~ctx:(Engine.Ctx.make ~grid:8 ~refine:1 ~identities:3 ())
       g5
   in
   let d = Obs.diff (Obs.snapshot ()) base in
@@ -496,11 +496,11 @@ let smoke_kway_bound () =
     "smoke k-way: k2 ratio %.5f, k3 ratio %.5f (points=%d lookups=%d)@."
     (Rational.to_float a2.Incentive.ratio)
     (Rational.to_float a3.Incentive.ratio)
-    (c "kway_points") (c "kway_memo_lookups");
-  if c "kway_points" <= 0 || c "kway_memo_lookups" <= 0 then
-    failwith "k-way sweep counters did not tick";
-  if c "kway_memo_lookups" <> c "kway_memo_hits" + c "kway_memo_misses" then
-    failwith "k-way memo identity broken";
+    (c "sweep_points") (c "memo_lookups");
+  if c "sweep_points" <= 0 || c "memo_lookups" <= 0 then
+    failwith "k=3 sweep counters did not tick";
+  if c "memo_lookups" <> c "memo_hits" + c "memo_misses" then
+    failwith "k=3 memo identity broken";
   if Rational.compare a3.Incentive.ratio a2.Incentive.ratio < 0 then
     failwith "k=3 sweep lost to the embedded k=2 search";
   if Rational.compare a3.Incentive.ratio Rational.two <= 0 then

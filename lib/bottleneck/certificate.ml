@@ -152,8 +152,3 @@ let verify g d cert =
     in
     stages 0 d masks cert
   end
-
-let verify_r g d cert =
-  match verify g d cert with
-  | Ok () -> Ok ()
-  | Error m -> Error (Ringshare_error.Certificate_mismatch m)

@@ -37,7 +37,3 @@ val verify : Graph.t -> Decompose.t -> t -> (unit, string) result
     witness flow is non-negative, supported on [G_i]-edges, respects the
     capacities [α_i·w_u] (S-side) and [w_v] (Γ-side), and saturates every
     S-side vertex.  Runs in time linear in the certificate size. *)
-
-val verify_r : Graph.t -> Decompose.t -> t -> (unit, Ringshare_error.t) result
-(** {!verify} mapped into the structured taxonomy
-    ([Certificate_mismatch]). *)

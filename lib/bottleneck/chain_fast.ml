@@ -275,6 +275,3 @@ let maximal_bottleneck ?budget g ~mask =
         init
     in
     b
-
-let maximal_bottleneck_r ?budget g ~mask =
-  Ringshare_error.capture (fun () -> maximal_bottleneck ?budget g ~mask)

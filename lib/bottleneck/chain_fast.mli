@@ -18,9 +18,6 @@
 
 (** {1 Components} *)
 
-val supports : Graph.t -> mask:Vset.t -> bool
-(** True iff every masked vertex has in-mask degree ≤ 2. *)
-
 type component = { verts : int array; cycle : bool }
 (** A connected component of the masked subgraph, vertices in walk order
     (endpoint-to-endpoint for paths, arbitrary starting point for
@@ -79,16 +76,6 @@ val solve_scaled :
     [q·D].  Callers that solve one component at many [α] scale it
     once. *)
 
-val solve_component :
-  Graph.t -> alpha:Rational.t -> cycle:bool -> int array ->
-  Rational.t * int list
-(** One DP evaluation over a component given as its vertex sequence (in
-    ring order when [cycle]): [(h_comp(α), members)] where [members] are
-    the vertex ids of the component's maximal minimiser at [α].  Scales
-    the weights ({!scale}) on every call and divides the minimum by
-    [q·D] once at the end.  Mask-independent: weights are read straight
-    off the graph. *)
-
 val h_and_argmax :
   ?budget:Budget.t -> Graph.t -> mask:Vset.t -> alpha:Rational.t ->
   Rational.t * Vset.t
@@ -101,10 +88,3 @@ val maximal_bottleneck : ?budget:Budget.t -> Graph.t -> mask:Vset.t -> Vset.t
     iteration and per component sweep.
     @raise Invalid_argument if the mask is empty.
     @raise Budget.Exhausted when the budget trips. *)
-
-val maximal_bottleneck_r :
-  ?budget:Budget.t -> Graph.t -> mask:Vset.t ->
-  (Vset.t, Ringshare_error.t) result
-(** {!maximal_bottleneck} behind {!Ringshare_error.capture}: budget
-    exhaustion, oracle inconsistency and infeasible DPs come back as
-    structured [Error]s. *)

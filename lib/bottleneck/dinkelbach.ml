@@ -36,6 +36,3 @@ let solve_poly ?(budget = Budget.unlimited) ~oracle ~alpha_of init =
 
 let solve ?budget ~oracle ~alpha_of init =
   solve_poly ?budget ~oracle ~alpha_of init
-
-let solve_r ?budget ~oracle ~alpha_of init =
-  Ringshare_error.capture (fun () -> solve ?budget ~oracle ~alpha_of init)

@@ -34,11 +34,3 @@ val solve :
     @raise Ringshare_error.Error ([Oracle_inconsistent]) if the oracle
     reports [h > 0] (broken oracle) or fails to make progress.
     @raise Budget.Exhausted when the budget trips. *)
-
-val solve_r :
-  ?budget:Budget.t ->
-  oracle:(alpha:Rational.t -> Rational.t * Vset.t) ->
-  alpha_of:(Vset.t -> Rational.t) ->
-  Rational.t ->
-  (Vset.t * Rational.t, Ringshare_error.t) result
-(** {!solve} behind the {!Ringshare_error.capture} boundary. *)

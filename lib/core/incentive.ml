@@ -17,6 +17,22 @@ type exact_attack = {
   events : int;
 }
 
+type kattack = {
+  v : int;
+  weights : Q.t array;
+  utility : Q.t;
+  honest : Q.t;
+  ratio : Q.t;
+}
+
+let attack_of_kattack (a : kattack) : attack =
+  { v = a.v; w1 = a.weights.(0); utility = a.utility; honest = a.honest;
+    ratio = a.ratio }
+
+let kattack_of_attack g (a : attack) : kattack =
+  { v = a.v; weights = [| a.w1; Q.sub (Graph.weight g a.v) a.w1 |];
+    utility = a.utility; honest = a.honest; ratio = a.ratio }
+
 let ratio_value ~utility ~honest =
   if Q.is_zero honest then if Q.is_zero utility then Q.one else Q.inf
   else Q.div utility honest
@@ -27,15 +43,6 @@ let ratio_value_qx ~utility ~honest =
   else Qx.div_q utility honest
 
 let clamp lo hi x = Q.max lo (Q.min hi x)
-
-(* Memoisation cache for one search: split weight w1 -> attacker utility.
-   Rationals are kept normalised, so Q.equal/Q.hash are semantic. *)
-module QTbl = Hashtbl.Make (struct
-  type t = Q.t
-
-  let equal = Q.equal
-  let hash = Q.hash
-end)
 
 let c_split_calls = Obs.Counter.make ~subsystem:"incentive" "best_split_calls"
 let c_lookups = Obs.Counter.make ~subsystem:"incentive" "memo_lookups"
@@ -57,6 +64,10 @@ let c_exact_criticals =
   Obs.Counter.make ~subsystem:"incentive" "exact_criticals"
 
 let c_exact_evals = Obs.Counter.make ~subsystem:"incentive" "exact_evals"
+let c_kway_rounds = Obs.Counter.make ~subsystem:"incentive" "kway_rounds"
+
+let c_kway_exact_events =
+  Obs.Counter.make ~subsystem:"incentive" "kway_exact_events"
 
 (* Explicit [?budget] wins over the context's. *)
 let with_budget_arg budget ctx =
@@ -69,9 +80,9 @@ let with_budget_arg budget ctx =
    dominates (BENCH_ringshare.json showed best-attack/n=8/domains=2 at
    grid 8 running ~1.5x slower than domains=1), so small sweeps fall
    back to the serial path — which computes bit-identical results by
-   construction.  [parallel_points_min] gates one sweep's fresh-point
-   batch inside best_split; [parallel_evals_min] gates the grid kind's
-   per-vertex fan-out by the expected evaluations per vertex. *)
+   construction.  [parallel_points_min] gates one memo batch inside a
+   split search; [parallel_evals_min] gates the grid kind's per-vertex
+   fan-out by the expected evaluations per vertex. *)
 let parallel_points_min = 16
 let parallel_evals_min = 32
 
@@ -79,102 +90,193 @@ let parallel_evals_min = 32
    calls them (see [with_request_cache]). *)
 let cache_free_ctx ctx = Engine.Ctx.without_cache (Engine.Ctx.arm ctx)
 
-let best_split_grid ?ctx ?budget ?honest g ~v =
-  let ctx = cache_free_ctx (with_budget_arg budget (Engine.Ctx.get ctx)) in
-  let { Engine.Ctx.grid; refine; domains; _ } = ctx in
+(* ------------------------------------------------------------------ *)
+(* The split memo and the grid search, at every identity count         *)
+(* ------------------------------------------------------------------ *)
+
+(* A weight vector is keyed by its free coordinates 0..k−2; the last
+   identity carries what remains of [w_v].  Entries are normalised
+   rationals, so pointwise Q.equal / Q.hash are semantic, and two keys
+   of one search compare as their full vectors do.  The helpers recurse
+   directly: without flambda a fold would cost a closure call per
+   coordinate on every memo probe. *)
+let rec vec_compare_from a b i =
+  if i = Array.length a then 0
+  else
+    match Q.compare a.(i) b.(i) with
+    | 0 -> vec_compare_from a b (i + 1)
+    | c -> c
+
+let vec_compare a b = vec_compare_from a b 0
+
+let rec vec_equal_from a b i =
+  i = Array.length a || (Q.equal a.(i) b.(i) && vec_equal_from a b (i + 1))
+
+let rec vec_hash_from a i acc =
+  if i = Array.length a then acc
+  else vec_hash_from a (i + 1) ((acc * 31) + Q.hash a.(i))
+
+module QVTbl = Hashtbl.Make (struct
+  type t = Q.t array
+
+  let equal a b = Array.length a = Array.length b && vec_equal_from a b 0
+  let hash a = vec_hash_from a 0 17
+end)
+
+let free_sum free =
+  let rec go i acc =
+    if i = Array.length free then acc else go (i + 1) (Q.add acc free.(i))
+  in
+  go 1 free.(0)
+
+(* The per-search memo of the grid search and the k ≥ 3 exact descent,
+   keyed by free coordinates: zoom rounds revisit their centre and
+   clamped points collide, so without it one split is decomposed several
+   times.  [eval_batch frees] evaluates each distinct key of [frees]
+   once per search, in sorted order, and meters it there at cost
+   [1 + n]; the decomposition itself runs un-budgeted.  [get] reads a
+   value back and [vector] completes a key to its weight vector.
+   Counters: [sweep_points] as given, [sweep_points_deduped] distinct,
+   one [memo_lookups] per distinct key with [memo_hits + memo_misses =
+   memo_lookups], and the [max_cache_size] gauge. *)
+let kway_evaluator ~ctx ~budget g ~v =
+  let dctx = Engine.Ctx.without_budget ctx in
+  let domains = ctx.Engine.Ctx.domains in
+  let w = Graph.weight g v in
+  let cost = 1 + Graph.n g in
+  let cache = QVTbl.create 64 in
+  let vector free = Array.append free [| Q.sub w (free_sum free) |] in
+  let eval free =
+    Budget.tick ~cost budget;
+    Sybil.splitk_utility ~ctx:dctx g { Sybil.v; weights = vector free }
+  in
+  let eval_batch frees =
+    let deduped = List.sort_uniq vec_compare frees in
+    let fresh = List.filter (fun f -> not (QVTbl.mem cache f)) deduped in
+    if Obs.metrics_enabled () then begin
+      let lookups = List.length deduped and misses = List.length fresh in
+      Obs.Counter.add c_sweep_points (List.length frees);
+      Obs.Counter.add c_sweep_deduped lookups;
+      Obs.Counter.add c_lookups lookups;
+      Obs.Counter.add c_misses misses;
+      Obs.Counter.add c_hits (lookups - misses)
+    end;
+    (match fresh with
+    | [] -> ()
+    | [ f ] -> QVTbl.replace cache f (eval f)
+    | _ when domains > 1 && List.length fresh >= parallel_points_min ->
+        (* independent decompositions; the shared budget counter is
+           atomic and results land by index, so the filled memo is
+           identical to the sequential one *)
+        let arr = Array.of_list fresh in
+        let us = Parwork.map ~domains eval arr in
+        Array.iteri (fun i u -> QVTbl.replace cache arr.(i) u) us
+    | _ -> List.iter (fun f -> QVTbl.replace cache f (eval f)) fresh);
+    Obs.Gauge.set_max g_cache (QVTbl.length cache)
+  in
+  let get free =
+    match QVTbl.find_opt cache free with
+    | Some u -> u
+    | None -> assert false
+  in
+  (eval_batch, get, vector)
+
+(* The one grid search, at every identity count [k]: the free
+   coordinates 0..k−2 each sweep a [grid]-point window (the last
+   coordinate absorbs the remainder; lattice points overshooting the
+   simplex are dropped), and each zoom round shrinks every free
+   coordinate's window ±step around the best vector.  The seed rides
+   first in the first round's batch: the Lemma 9 split [|w₁⁰; w_v − w₁⁰|]
+   at k = 2, the uniform vector at k ≥ 3.  The best starts at the
+   seed's mechanism value (U_v at k = 2, by Lemma 9) and moves only on
+   a strict improvement, so the first vector of a utility tie, in
+   enumeration order, wins. *)
+let best_splitk_grid ~k ~ctx ?honest g ~v =
+  let ctx = cache_free_ctx ctx in
+  let { Engine.Ctx.grid; refine; _ } = ctx in
   if grid < 2 then invalid_arg "Incentive.best_split: grid too small";
   Obs.Span.with_ "best_split" @@ fun () ->
   Obs.Counter.incr c_split_calls;
   let budget = Engine.Ctx.budget_or_unlimited ctx in
-  (* split evaluations are metered here, once per distinct point; the
-     decompositions they trigger run un-budgeted, as they always have *)
   let dctx = Engine.Ctx.without_budget ctx in
   let w = Graph.weight g v in
-  let cost = 1 + Graph.n g in
   let honest =
     match honest with
     | Some u -> u
     | None -> Sybil.honest_utility ~ctx:dctx g ~v
   in
-  (* Per-search cache: zoom rounds overlap (the previous best is the
-     centre of the next window) and clamped extras collide with grid
-     points, so without it the same split is decomposed several times.
-     Each distinct w1 is evaluated — and budget-charged — exactly once
-     per search. *)
-  let cache = QTbl.create 64 in
-  let eval w1 =
-    Budget.tick ~cost budget;
-    Sybil.split_utility ~ctx:dctx g ~v ~w1
-  in
-  let eval_batch points =
-    let fresh = List.filter (fun w1 -> not (QTbl.mem cache w1)) points in
-    if Engine.Ctx.obs_enabled ctx then begin
-      let lookups = List.length points and misses = List.length fresh in
-      Obs.Counter.add c_lookups lookups;
-      Obs.Counter.add c_misses misses;
-      Obs.Counter.add c_hits (lookups - misses)
-    end;
-    match fresh with
-    | [] -> ()
-    | [ w1 ] -> QTbl.replace cache w1 (eval w1)
-    | _ when domains > 1 && List.length fresh >= parallel_points_min ->
-        (* grid points are independent decompositions; the shared budget
-           counter is atomic, and results land by index so the filled
-           cache is identical to the sequential one *)
-        let arr = Array.of_list fresh in
-        let us = Parwork.map ~domains eval arr in
-        Array.iteri (fun i u -> QTbl.replace cache arr.(i) u) us
-    | _ -> List.iter (fun w1 -> QTbl.replace cache w1 (eval w1)) fresh
-  in
-  let best_of points acc =
-    List.fold_left
-      (fun (bw, bu) w1 ->
-        match QTbl.find_opt cache w1 with
-        | Some u when Q.compare u bu > 0 -> (w1, u)
-        | _ -> (bw, bu))
-      acc points
-  in
-  let sweep lo hi extras acc =
-    let step = Q.div_int (Q.sub hi lo) grid in
-    let points =
-      if Q.is_zero step then [ lo ]
-      else
-        extras
-        @ List.init (grid + 1) (fun i -> Q.add lo (Q.mul_int step i))
+  let eval_batch, get, vector = kway_evaluator ~ctx ~budget g ~v in
+  (* rightmost free coordinate varies fastest, so the enumeration
+     order — and with it the first-of-a-tie winner — is deterministic *)
+  let lattice windows steps =
+    let axes =
+      Array.map2
+        (fun (lo, _) step ->
+          if Q.is_zero step then [ lo ]
+          else
+            List.init (grid + 1) (fun i ->
+                clamp Q.zero w (Q.add lo (Q.mul_int step i))))
+        windows steps
     in
-    let points = List.map (clamp Q.zero w) points in
-    (* Evaluate (and budget-charge) each distinct point once, but fold in
-       the original extras-first order: with the strict [>] comparison the
-       first point of a utility tie wins, so this keeps the reported [w1]
-       identical to the pre-memoisation search. *)
-    let deduped = List.sort_uniq Q.compare points in
-    if Engine.Ctx.obs_enabled ctx then begin
-      Obs.Counter.add c_sweep_points (List.length points);
-      Obs.Counter.add c_sweep_deduped (List.length deduped)
-    end;
-    eval_batch deduped;
-    best_of points acc
-  in
-  let w10, _ = Sybil.initial_split ~ctx:dctx g ~v in
-  let rec zoom lo hi extras rounds (bw, bu) =
-    let bw, bu = sweep lo hi extras (bw, bu) in
-    if rounds = 0 then (bw, bu)
-    else
-      let step = Q.div_int (Q.sub hi lo) grid in
-      if Q.is_zero step then (bw, bu)
+    let free = Array.make (k - 1) Q.zero in
+    let points = ref [] in
+    let rec fill i sum =
+      if i = k - 1 then begin
+        (* one clamped coordinate never overshoots *)
+        if k = 2 || Q.compare sum w <= 0 then
+          points := Array.copy free :: !points
+      end
       else
-        zoom
-          (clamp Q.zero w (Q.sub bw step))
-          (clamp Q.zero w (Q.add bw step))
-          [] (rounds - 1) (bw, bu)
+        List.iter
+          (fun x ->
+            free.(i) <- x;
+            fill (i + 1) (if i = 0 then x else Q.add sum x))
+          axes.(i)
+    in
+    fill 0 Q.zero;
+    List.rev !points
   in
-  let bw, bu = zoom Q.zero w [ w10 ] refine (w10, honest) in
-  if Engine.Ctx.obs_enabled ctx then
-    Obs.Gauge.set_max g_cache (QTbl.length cache);
-  { v; w1 = bw; utility = bu; honest; ratio = ratio_value ~utility:bu ~honest }
+  let seed =
+    if k = 2 then [| fst (Sybil.initial_split ~ctx:dctx g ~v) |]
+    else Array.make (k - 1) (Q.div_int w k)
+  in
+  let rec zoom windows extras rounds best =
+    let steps =
+      Array.map (fun (lo, hi) -> Q.div_int (Q.sub hi lo) grid) windows
+    in
+    (* a window of zero width is one point, so a zero-weight vertex
+       sweeps that point alone *)
+    let flat = Array.for_all Q.is_zero steps in
+    let points = (if flat then [] else extras) @ lattice windows steps in
+    eval_batch points;
+    let ((bf, _) as best) =
+      List.fold_left
+        (fun best f ->
+          let u = get f in
+          match best with
+          | Some (_, bu) when Q.compare u bu <= 0 -> best
+          | _ -> Some (f, u))
+        best points
+      |> Option.get
+    in
+    if rounds = 0 || flat then best
+    else
+      let windows =
+        Array.mapi
+          (fun i step ->
+            ( clamp Q.zero w (Q.sub bf.(i) step),
+              clamp Q.zero w (Q.add bf.(i) step) ))
+          steps
+      in
+      zoom windows [] (rounds - 1) (Some best)
+  in
+  let bf, bu = zoom (Array.make (k - 1) (Q.zero, w)) [ seed ] refine None in
+  { v; weights = vector bf; utility = bu; honest;
+    ratio = ratio_value ~utility:bu ~honest }
 
 (* ------------------------------------------------------------------ *)
 (* Exact event-driven sweep (DESIGN §16)                               *)
+(* ------------------------------------------------------------------ *)
 (* ------------------------------------------------------------------ *)
 
 (* Denominator of the dyadic rational witness reported when the
@@ -285,7 +387,7 @@ let best_split_exact ?ctx ?budget ?honest g ~v =
           ratio = ratio_value ~utility:bu ~honest }
       end
     in
-    if Engine.Ctx.obs_enabled ctx then begin
+    if Obs.metrics_enabled () then begin
       Obs.Counter.add c_exact_pieces (List.length pieces);
       Obs.Counter.add c_exact_events events;
       Obs.Counter.add c_exact_criticals !criticals;
@@ -301,216 +403,18 @@ let best_split_exact ?ctx ?budget ?honest g ~v =
     }
   end
 
-(* [best_split] routes on the context's sweep policy: [Grid] keeps the
-   historical grid-with-zoom search bit-identical, [Exact] returns the
-   certified optimum's rational witness. *)
+(* [best_split] routes on the context's sweep policy: [Grid] runs the
+   grid search at two identities, [Exact] returns the certified
+   optimum's rational witness. *)
 let best_split ?ctx ?budget ?honest g ~v =
-  let ctx = Engine.Ctx.get ctx in
+  let ctx = with_budget_arg budget (Engine.Ctx.get ctx) in
   match ctx.Engine.Ctx.sweep with
-  | Engine.Grid -> best_split_grid ~ctx ?budget ?honest g ~v
-  | Engine.Exact -> (best_split_exact ~ctx ?budget ?honest g ~v).witness
+  | Engine.Grid -> attack_of_kattack (best_splitk_grid ~k:2 ~ctx ?honest g ~v)
+  | Engine.Exact -> (best_split_exact ~ctx ?honest g ~v).witness
 
 (* ------------------------------------------------------------------ *)
-(* k-identity split vectors (ctx.identities ≥ 3)                       *)
+(* Exact k-identity descent (ctx.identities ≥ 3)                       *)
 (* ------------------------------------------------------------------ *)
-
-type kattack = {
-  v : int;
-  weights : Q.t array;
-  utility : Q.t;
-  honest : Q.t;
-  ratio : Q.t;
-}
-
-(* Memo over full weight vectors: entries are normalised rationals, so
-   pointwise Q.equal / Q.hash are semantic. *)
-module QVTbl = Hashtbl.Make (struct
-  type t = Q.t array
-
-  let equal a b =
-    Array.length a = Array.length b
-    &&
-    let rec go i = i = Array.length a || (Q.equal a.(i) b.(i) && go (i + 1)) in
-    go 0
-
-  let hash a = Array.fold_left (fun acc x -> (acc * 31) + Q.hash x) 17 a
-end)
-
-let vec_compare a b =
-  let rec go i =
-    if i = Array.length a then 0
-    else match Q.compare a.(i) b.(i) with 0 -> go (i + 1) | c -> c
-  in
-  go 0
-
-let c_kway_points = Obs.Counter.make ~subsystem:"incentive" "kway_points"
-let c_kway_rounds = Obs.Counter.make ~subsystem:"incentive" "kway_rounds"
-
-let c_kway_exact_events =
-  Obs.Counter.make ~subsystem:"incentive" "kway_exact_events"
-
-let c_kway_lookups =
-  Obs.Counter.make ~subsystem:"incentive" "kway_memo_lookups"
-
-let c_kway_hits = Obs.Counter.make ~subsystem:"incentive" "kway_memo_hits"
-let c_kway_misses = Obs.Counter.make ~subsystem:"incentive" "kway_memo_misses"
-
-let kattack_of_attack g (a : attack) =
-  let w = Graph.weight g a.v in
-  {
-    v = a.v;
-    weights = [| a.w1; Q.sub w a.w1 |];
-    utility = a.utility;
-    honest = a.honest;
-    ratio = a.ratio;
-  }
-
-(* Per-search memo for k-way sweeps, keyed by the full weight vector;
-   each distinct vector is evaluated — and budget-charged, cost [1 + n]
-   — exactly once per search.  Callers pass deduplicated batches;
-   [kway_memo_hits + kway_memo_misses = kway_memo_lookups] by
-   construction. *)
-let kway_evaluator ~ctx ~budget g ~v =
-  let dctx = Engine.Ctx.without_budget ctx in
-  let cost = 1 + Graph.n g in
-  let cache = QVTbl.create 64 in
-  let eval ws =
-    Budget.tick ~cost budget;
-    Sybil.splitk_utility ~ctx:dctx g { Sybil.v; weights = ws }
-  in
-  let eval_batch vecs =
-    let fresh = List.filter (fun ws -> not (QVTbl.mem cache ws)) vecs in
-    if Engine.Ctx.obs_enabled ctx then begin
-      let lookups = List.length vecs and misses = List.length fresh in
-      Obs.Counter.add c_kway_lookups lookups;
-      Obs.Counter.add c_kway_misses misses;
-      Obs.Counter.add c_kway_hits (lookups - misses)
-    end;
-    match fresh with
-    | [] -> ()
-    | [ ws ] -> QVTbl.replace cache ws (eval ws)
-    | _
-      when ctx.Engine.Ctx.domains > 1
-           && List.length fresh >= parallel_points_min ->
-        (* independent decompositions; the shared budget counter is
-           atomic and results land by index, so the filled memo is
-           identical to the sequential one *)
-        let arr = Array.of_list fresh in
-        let us = Parwork.map ~domains:ctx.Engine.Ctx.domains eval arr in
-        Array.iteri (fun i u -> QVTbl.replace cache arr.(i) u) us
-    | _ -> List.iter (fun ws -> QVTbl.replace cache ws (eval ws)) fresh
-  in
-  let get ws =
-    match QVTbl.find_opt cache ws with
-    | Some u -> u
-    | None -> assert false
-  in
-  (cache, eval_batch, get)
-
-(* Grid mode over the (k−1)-simplex: the free coordinates 0..k−2 each
-   sweep a [grid]-point window (the last coordinate absorbs the
-   remainder; lattice points overshooting the simplex are dropped), and
-   each zoom round shrinks every free coordinate's window ±step around
-   the best vector — the direct generalisation of [best_split_grid]'s
-   per-coordinate grid-with-zoom. *)
-let best_splitk_grid ~ctx ?honest g ~v =
-  let ctx = cache_free_ctx ctx in
-  let k = ctx.Engine.Ctx.identities in
-  let { Engine.Ctx.grid; refine; _ } = ctx in
-  if grid < 2 then invalid_arg "Incentive.best_splitk: grid too small";
-  Obs.Span.with_ "best_splitk" @@ fun () ->
-  let budget = Engine.Ctx.budget_or_unlimited ctx in
-  let dctx = Engine.Ctx.without_budget ctx in
-  let w = Graph.weight g v in
-  let honest =
-    match honest with
-    | Some u -> u
-    | None -> Sybil.honest_utility ~ctx:dctx g ~v
-  in
-  let cache, eval_batch, _get = kway_evaluator ~ctx ~budget g ~v in
-  let vec_of free =
-    let ws = Array.make k Q.zero in
-    let sum = ref Q.zero in
-    Array.iteri
-      (fun i x ->
-        ws.(i) <- x;
-        sum := Q.add !sum x)
-      free;
-    ws.(k - 1) <- Q.sub w !sum;
-    ws
-  in
-  let points_of windows =
-    let axes =
-      Array.map
-        (fun (lo, hi) ->
-          let step = Q.div_int (Q.sub hi lo) grid in
-          if Q.is_zero step then [ lo ]
-          else
-            List.init (grid + 1) (fun i ->
-                clamp Q.zero w (Q.add lo (Q.mul_int step i))))
-        windows
-    in
-    (* rightmost free coordinate varies fastest, so the enumeration
-       order — and with it the first-of-a-tie winner — is deterministic *)
-    let rec cart i =
-      if i = Array.length axes then [ [] ]
-      else
-        let rest = cart (i + 1) in
-        List.concat_map (fun x -> List.map (fun tl -> x :: tl) rest) axes.(i)
-    in
-    List.filter_map
-      (fun free ->
-        let free = Array.of_list free in
-        let sum = Array.fold_left Q.add Q.zero free in
-        if Q.compare sum w > 0 then None else Some (vec_of free))
-      (cart 0)
-  in
-  let best_of points acc =
-    List.fold_left
-      (fun (bv, bu) ws ->
-        match QVTbl.find_opt cache ws with
-        | Some u when Q.compare u bu > 0 -> (ws, u)
-        | _ -> (bv, bu))
-      acc points
-  in
-  let sweep windows extras acc =
-    let points = extras @ points_of windows in
-    let deduped = List.sort_uniq vec_compare points in
-    if Engine.Ctx.obs_enabled ctx then
-      Obs.Counter.add c_kway_points (List.length points);
-    eval_batch deduped;
-    best_of points acc
-  in
-  let uniform = Array.make k (Q.div_int w k) in
-  let rec zoom windows extras rounds (bv, bu) =
-    let bv, bu = sweep windows extras (bv, bu) in
-    if rounds = 0 then (bv, bu)
-    else
-      let steps =
-        Array.map (fun (lo, hi) -> Q.div_int (Q.sub hi lo) grid) windows
-      in
-      if Array.for_all Q.is_zero steps then (bv, bu)
-      else
-        let windows =
-          Array.init (k - 1) (fun i ->
-              ( clamp Q.zero w (Q.sub bv.(i) steps.(i)),
-                clamp Q.zero w (Q.add bv.(i) steps.(i)) ))
-        in
-        zoom windows [] (rounds - 1) (bv, bu)
-  in
-  (* seed: the uniform vector's real mechanism value, so the starting
-     accumulator never reports an unevaluated point *)
-  eval_batch [ uniform ];
-  let u0 =
-    match QVTbl.find_opt cache uniform with
-    | Some u -> u
-    | None -> assert false
-  in
-  let windows0 = Array.make (k - 1) (Q.zero, w) in
-  let bv, bu = zoom windows0 [ uniform ] refine (uniform, u0) in
-  if Engine.Ctx.obs_enabled ctx then
-    Obs.Gauge.set_max g_cache (QVTbl.length cache);
-  { v; weights = bv; utility = bu; honest; ratio = ratio_value ~utility:bu ~honest }
 
 (* Full simplex lattice at one resolution: every vector of [k] weights
    from the step grid summing to [w] (last coordinate absorbs the
@@ -560,7 +464,12 @@ let best_splitk_exact ~ctx ?honest g ~v =
     | Some u -> u
     | None -> Sybil.honest_utility ~ctx:dctx g ~v
   in
-  let _cache, eval_batch, get_cached = kway_evaluator ~ctx ~budget g ~v in
+  (* the descent walks full vectors and keys the memo by their free
+     coordinates *)
+  let eval_keys, get, _ = kway_evaluator ~ctx ~budget g ~v in
+  let key ws = Array.sub ws 0 (k - 1) in
+  let eval_batch vecs = eval_keys (List.map key vecs) in
+  let get_cached ws = get (key ws) in
   let finish ws u =
     { v; weights = ws; utility = u; honest;
       ratio = ratio_value ~utility:u ~honest }
@@ -578,9 +487,7 @@ let best_splitk_exact ~ctx ?honest g ~v =
     let seeds =
       Array.make k (Q.div_int w k) :: simplex_lattice ~k ~w ~grid:4
     in
-    eval_batch (List.sort_uniq vec_compare seeds);
-    if Engine.Ctx.obs_enabled ctx then
-      Obs.Counter.add c_kway_points (List.length seeds);
+    eval_batch seeds;
     let x = ref (List.hd seeds) in
     let best_u = ref (get_cached !x) in
     List.iter
@@ -596,7 +503,7 @@ let best_splitk_exact ~ctx ?honest g ~v =
     while !improved && !rounds < kway_max_rounds do
       improved := false;
       incr rounds;
-      if Engine.Ctx.obs_enabled ctx then Obs.Counter.incr c_kway_rounds;
+      if Obs.metrics_enabled () then Obs.Counter.incr c_kway_rounds;
       for i = 0 to k - 2 do
         let total = Q.add (!x).(i) (!x).(k - 1) in
         if Q.sign total > 0 then begin
@@ -605,7 +512,7 @@ let best_splitk_exact ~ctx ?honest g ~v =
           let pieces =
             Breakpoints.exact_slice_pieces ~ctx ks.Sybil.kpath ~v1 ~v2 ~total
           in
-          if Engine.Ctx.obs_enabled ctx then
+          if Obs.metrics_enabled () then
             Obs.Counter.add c_kway_exact_events
               (List.length (Breakpoints.events pieces));
           let cands = ref [ (!x).(i) ] in
@@ -685,7 +592,7 @@ let best_splitk_exact ~ctx ?honest g ~v =
                 ws)
               !cands
           in
-          eval_batch (List.sort_uniq vec_compare vecs);
+          eval_batch vecs;
           (* first of a utility tie — in candidate discovery order —
              wins; the current point is candidate zero, so a plateau
              never moves *)
@@ -707,17 +614,17 @@ let best_splitk_exact ~ctx ?honest g ~v =
     finish !x !best_u
   end
 
-(* [best_splitk] subsumes [best_split]: at the default two identities it
-   delegates to the historical search (bit-identical, both sweep modes)
-   and wraps the pair as a length-2 vector. *)
+(* [best_splitk] at [ctx.identities = k]: the grid search runs at every
+   [k]; the exact sweep is [best_split_exact] at [k = 2], its pair
+   wrapped as a length-2 vector, and the slice descent above it. *)
 let best_splitk ?ctx ?budget ?honest g ~v =
-  let ctx = Engine.Ctx.arm (with_budget_arg budget (Engine.Ctx.get ctx)) in
-  if Int.equal ctx.Engine.Ctx.identities 2 then
-    kattack_of_attack g (best_split ~ctx ?honest g ~v)
-  else
-    match ctx.Engine.Ctx.sweep with
-    | Engine.Grid -> best_splitk_grid ~ctx ?honest g ~v
-    | Engine.Exact -> best_splitk_exact ~ctx ?honest g ~v
+  let ctx = with_budget_arg budget (Engine.Ctx.get ctx) in
+  let k = ctx.Engine.Ctx.identities in
+  match ctx.Engine.Ctx.sweep with
+  | Engine.Grid -> best_splitk_grid ~k ~ctx ?honest g ~v
+  | Engine.Exact when k = 2 ->
+      kattack_of_attack g (best_split_exact ~ctx ?honest g ~v).witness
+  | Engine.Exact -> best_splitk_exact ~ctx ?honest g ~v
 
 (* ------------------------------------------------------------------ *)
 (* Checkpoint fields, one codec per result type                        *)
@@ -856,7 +763,9 @@ let grid_kind =
            < parallel_evals_min
         then 1
         else ctx.Engine.Ctx.domains);
-    search = (fun ctx ~honest g v -> best_split_grid ~ctx ~honest g ~v);
+    search =
+      (fun ctx ~honest g v ->
+        attack_of_kattack (best_splitk_grid ~k:2 ~ctx ~honest g ~v));
     improves = (fun (a : attack) b -> Q.compare a.ratio b.ratio > 0);
     wrap = (fun a -> Attack a);
     unwrap = (function Attack a -> Some a | _ -> None);
@@ -891,7 +800,9 @@ let kway_kind ctx =
     fanout = (fun ctx -> ctx.Engine.Ctx.domains);
     search =
       (match sweep with
-      | Engine.Grid -> fun ctx ~honest g v -> best_splitk_grid ~ctx ~honest g ~v
+      | Engine.Grid ->
+          fun ctx ~honest g v ->
+            best_splitk_grid ~k:ctx.Engine.Ctx.identities ~ctx ~honest g ~v
       | Engine.Exact ->
           fun ctx ~honest g v -> best_splitk_exact ~ctx ~honest g ~v);
     improves = (fun (a : kattack) b -> Q.compare a.ratio b.ratio > 0);

@@ -36,20 +36,19 @@ type exact_attack = {
 val best_split :
   ?ctx:Engine.Ctx.t -> ?budget:Budget.t -> ?honest:Rational.t -> Graph.t ->
   v:int -> attack
-(** Sweep [w_{v¹}] over a [ctx.grid]-point subdivision of [[0, w_v]] (plus
-    the honest point [w₁⁰]), then zoom [ctx.refine] times around the best
-    point.  Solver choice, grid/refine, domains and cache policy come from
-    [ctx] ({!Engine.Ctx.default} when absent); an explicit [budget]
-    overrides the context's.
+(** The grid search of {!best_splitk} at two identities: sweep
+    [w_{v¹}] over a [ctx.grid]-point subdivision of [[0, w_v]], seeded
+    with the honest point [w₁⁰], then zoom [ctx.refine] times around the
+    best point.  Solver choice, grid/refine, domains and cache policy
+    come from [ctx] ({!Engine.Ctx.default} when absent; [ctx.identities]
+    is not read); an explicit [budget] overrides the context's.
 
-    Candidate points are deduplicated (clamped extras collide with grid
-    points, and each zoom window re-visits its centre) and memoised in a
-    per-search cache keyed by [w1], so each distinct split is decomposed —
-    and budget-ticked, proportionally to the graph size — exactly once
-    per search.  That memo lives for one [best_split] call.  Split
-    searches run cache-free: a context's {!Engine.Cache} is dropped
-    here, because keying each split graph costs more than decomposing
-    it; the attack entry points below cache whole results instead.
+    Each distinct split is decomposed — and budget-ticked, proportionally
+    to the graph size — once per search, through the per-search memo
+    described under {!best_splitk}.  Split searches run cache-free: a
+    context's {!Engine.Cache} is dropped here, because keying each split
+    graph costs more than decomposing it; the attack entry points below
+    cache whole results instead.
 
     [ctx.domains > 1] evaluates the fresh points of each sweep round in
     parallel over that many OCaml 5 domains; the result is identical to
@@ -108,17 +107,19 @@ val best_attack_exact :
 (** {1 k-identity split vectors}
 
     [ctx.identities] generalises the pairwise split to a length-[k]
-    weight vector ({!Sybil.splits}).  At the default [k = 2] every
-    entry point below delegates to the historical 2-split search —
-    bit-identical in both sweep modes — and wraps the result; at
-    [k ≥ 3] the grid sweep walks the [(k−1)]-simplex (per-coordinate
-    grid-with-zoom over a shared weight-vector memo) and the exact
-    sweep runs coordinate descent over certified 1-D slices
-    ({!Breakpoints.exact_slice_pieces}), terminating at a point no
-    coordinate line can improve.  Counters (subsystem ["incentive"]):
-    [kway_points], [kway_rounds], [kway_exact_events] and the memo
-    triple [kway_memo_lookups] = [kway_memo_hits] +
-    [kway_memo_misses]. *)
+    weight vector ({!Sybil.splits}).  One grid search serves every [k]:
+    it walks the [(k−1)]-simplex (per-coordinate grid-with-zoom), and
+    {!best_split} is its [k = 2] case.  The exact sweep is
+    {!best_split_exact} at [k = 2] and, at [k ≥ 3], coordinate descent
+    over certified 1-D slices ({!Breakpoints.exact_slice_pieces}),
+    terminating at a point no coordinate line can improve.  The grid
+    search and the descent share one per-search memo, keyed by a
+    vector's first [k − 1] weights.  Counters (subsystem
+    ["incentive"], span ["best_split"] for the grid):
+    [best_split_calls], [sweep_points], [sweep_points_deduped], the
+    memo triple [memo_lookups] = [memo_hits] + [memo_misses], the
+    [max_cache_size] gauge, and the descent's [kway_rounds] and
+    [kway_exact_events]. *)
 
 type kattack = {
   v : int;  (** the manipulative agent *)
@@ -133,16 +134,18 @@ type kattack = {
 val best_splitk :
   ?ctx:Engine.Ctx.t -> ?budget:Budget.t -> ?honest:Rational.t -> Graph.t ->
   v:int -> kattack
-(** The [k]-identity generalisation of {!best_split}, parameterised by
-    [ctx.identities].  At [k = 2] this {e is} {!best_split} (same code
-    path, both sweep modes) with the pair wrapped as [[|w1; w_v − w1|]].
-    At [k ≥ 3], [Grid] sweeps the simplex lattice ([ctx.grid] points
-    per free coordinate, [ctx.refine] zoom rounds; the first vector of
-    a utility tie in enumeration order wins) and [Exact] runs the
-    slice-wise coordinate descent.  Either way every reported utility
-    is an exactly-evaluated mechanism value and each distinct weight
-    vector is evaluated — and budget-ticked at cost [1 + n] — once per
-    search. *)
+(** The split search at [k = ctx.identities].  [Grid] sweeps the
+    simplex lattice ([ctx.grid] points per free coordinate, [ctx.refine]
+    zoom rounds).  Its seed is evaluated in the first round: the Lemma 9
+    split [[|w₁⁰; w_v − w₁⁰|]] at [k = 2], the uniform vector at
+    [k ≥ 3].  The best starts at the seed's value and moves only on a
+    strict improvement, so the first vector of a utility tie in
+    enumeration order wins; at [k = 2] the result is {!best_split}'s.
+    [Exact] is {!best_split_exact}'s witness as [[|w1; w_v − w1|]] at
+    [k = 2] and the slice-wise coordinate descent at [k ≥ 3].  Every
+    reported utility is an exactly-evaluated mechanism value, and each
+    distinct weight vector is evaluated — and budget-ticked at cost
+    [1 + n] — once per search. *)
 
 val best_attack_k :
   ?ctx:Engine.Ctx.t -> ?budget:Budget.t -> Graph.t -> kattack

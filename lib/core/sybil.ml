@@ -43,8 +43,21 @@ let splitk_free g { v; weights = ws } =
   let ids = Array.init k (fun j -> if j = 0 then v else n + j - 1) in
   { kpath = Graph.create ~weights ~edges; ids }
 
+(* Sums from the first term: every split evaluation sums its weights
+   and its identities' utilities, and adding zero costs a full rational
+   add. *)
+let sum_by f xs =
+  if Array.length xs = 0 then Q.zero
+  else begin
+    let acc = ref (f xs.(0)) in
+    for j = 1 to Array.length xs - 1 do
+      acc := Q.add !acc (f xs.(j))
+    done;
+    !acc
+  end
+
 let splitk g ({ v; weights = ws } as s) =
-  let total = Array.fold_left Q.add Q.zero ws in
+  let total = sum_by Fun.id ws in
   if not (Q.equal total (Graph.weight g v)) then
     invalid_arg "Sybil.splitk: weights must sum to w_v";
   splitk_free g s
@@ -52,9 +65,7 @@ let splitk g ({ v; weights = ws } as s) =
 let splitk_utility ?ctx g s =
   let ks = splitk g s in
   let d = Decompose.compute ?ctx ks.kpath in
-  Array.fold_left
-    (fun acc id -> Q.add acc (Utility.of_vertex ks.kpath d id))
-    Q.zero ks.ids
+  sum_by (Utility.of_vertex ks.kpath d) ks.ids
 
 let split_free g ~v ~w1 ~w2 =
   (* historical error messages, pinned by test_sybil.ml *)

@@ -154,7 +154,6 @@ module Ctx = struct
     budget : Budget.t option;
     deadline : float option;
     domains : int;
-    obs : bool;
     cache : Cache.t option;
     identities : int;
   }
@@ -172,7 +171,6 @@ module Ctx = struct
       budget = None;
       deadline = None;
       domains = 1;
-      obs = true;
       cache = None;
       identities = default_identities;
     }
@@ -181,7 +179,7 @@ module Ctx = struct
      else in lib/ the config-drift lint rule forbids these labels. *)
   let make ?(solver = default.solver) ?(sweep = default.sweep)
       ?(grid = default.grid) ?(refine = default.refine) ?budget ?deadline
-      ?(domains = default.domains) ?(obs = default.obs) ?cache
+      ?(domains = default.domains) ?cache
       ?(identities = default.identities) () =
     if identities < 2 then invalid_arg "Engine.Ctx.make: identities < 2";
     {
@@ -192,7 +190,6 @@ module Ctx = struct
       budget;
       deadline;
       domains;
-      obs;
       cache;
       identities;
     }
@@ -211,7 +208,6 @@ module Ctx = struct
   let with_deadline d t = { t with deadline = Some d }
   let without_deadline t = { t with deadline = None }
   let with_domains domains t = { t with domains }
-  let with_obs obs t = { t with obs }
   let with_cache c t = { t with cache = Some c }
   let without_cache t = { t with cache = None }
   let get = function Some ctx -> ctx | None -> default
@@ -227,8 +223,6 @@ module Ctx = struct
     match (t.budget, t.deadline) with
     | None, Some seconds -> { t with budget = Some (Budget.create ~seconds ()) }
     | _ -> t
-
-  let obs_enabled t = t.obs && Obs.metrics_enabled ()
 end
 
 let solver_name = function

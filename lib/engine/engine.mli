@@ -115,7 +115,6 @@ module Ctx : sig
             into a running {!Budget.t} by {!arm} at request entry, so it
             is enforced at budget-tick granularity *)
     domains : int;  (** OCaml 5 domains for parallel sweeps (1) *)
-    obs : bool;  (** request-level metrics enablement (true) *)
     cache : Cache.t option;  (** shared decomposition cache (none) *)
     identities : int;
         (** number of Sybil identities [k ≥ 2] the attack search sweeps
@@ -141,7 +140,7 @@ module Ctx : sig
 
   val make :
     ?solver:solver -> ?sweep:sweep -> ?grid:int -> ?refine:int ->
-    ?budget:Budget.t -> ?deadline:float -> ?domains:int -> ?obs:bool ->
+    ?budget:Budget.t -> ?deadline:float -> ?domains:int ->
     ?cache:Cache.t -> ?identities:int -> unit -> t
   (** {!default} with the given fields overridden.  This is the one
       sanctioned home of the old optional-argument spray; the
@@ -162,7 +161,6 @@ module Ctx : sig
   val with_identities : int -> t -> t
   (** @raise Invalid_argument when the argument is [< 2]. *)
 
-  val with_obs : bool -> t -> t
   val with_cache : Cache.t -> t -> t
   val without_cache : t -> t
 
@@ -181,11 +179,6 @@ module Ctx : sig
       {!run_batch_r} item) arms its context, so a deadline set on a
       long-lived context yields a fresh allowance per request rather
       than one shared countdown. *)
-
-  val obs_enabled : t -> bool
-  (** [ctx.obs && Obs.metrics_enabled ()]: layers consult this instead of
-      the global switch so a context can opt a request out of metric
-      recording. *)
 end
 
 (** {1 Batch execution} *)

@@ -175,7 +175,7 @@ let intlike_name s =
 
 let wallclock_funs = [ "gettimeofday"; "time"; "times" ]
 
-(* [hash_order_module ["QTbl"; "fold"]] is true: the module owning the
+(* [hash_order_module ["QVTbl"; "fold"]] is true: the module owning the
    iteration is Hashtbl itself or a Hashtbl.Make instance by the
    repo's *Tbl naming convention. *)
 let hash_order_module path =
@@ -221,7 +221,7 @@ let check_ident ctx (loc : Location.t) lid =
   | [ "Hashtbl"; "create" ] | [ "Stdlib"; "Hashtbl"; "create" ] ->
       report ctx F.Poly_compare loc
         "polymorphic hash table; use a Hashtbl.Make instance with typed \
-         equal/hash (Tables.Itbl / Tables.Ptbl, Incentive.QTbl)"
+         equal/hash (Tables.Itbl / Tables.Ptbl, Incentive.QVTbl)"
   | _ -> ());
   (* D: ambient randomness, wall clock, hash-order iteration *)
   match path with

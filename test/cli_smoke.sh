@@ -384,6 +384,35 @@ grep -q "degree > 2" "$tmpdir/err" || {
 grep -q "Raised at" "$tmpdir/err" && {
   echo "FAIL: breaks --fig1 printed a backtrace" >&2; fails=$((fails + 1)); }
 
+# 30. the grid search is pinned byte for byte at two and three
+#     identities, and through a two-file batch (run from the scratch
+#     directory, so the rows carry the bare file names)
+for pin in 7,2,9,4,3:2:dfa5bbf0f85a63f3dbb36c5e60142a6d \
+           7,2,9,4,3:3:b621575f71b96f3d40a4920a75190a1e \
+           seed3:2:1069dfa14d6b2b60a581a941011af521 \
+           seed3:3:5e2134a8cfe3c226df75374ad1974482; do
+  inst=${pin%%:*}; rest=${pin#*:}; k=${rest%%:*}; digest=${rest#*:}
+  case "$inst" in
+    seed3) spec="-n 7 --seed 3" ;;
+    *) spec="--ring $inst" ;;
+  esac
+  # shellcheck disable=SC2086
+  "$cli" sybil $spec --grid 6 --refine 1 --identities "$k" \
+    > "$tmpdir/grid.out" 2> /dev/null
+  expect "sybil $spec --grid 6 --refine 1 --identities $k" 0 $?
+  got=$(md5sum < "$tmpdir/grid.out" | cut -d' ' -f1)
+  [ "$got" = "$digest" ] || {
+    echo "FAIL: sybil $spec --identities $k grid digest $got, expected $digest" >&2
+    fails=$((fails + 1)); }
+done
+( cd "$tmpdir" && "$cli" batch a.graph b.graph --grid 6 --refine 1 ) \
+  > "$tmpdir/grid.out" 2> /dev/null
+expect "batch a.graph b.graph --grid 6 --refine 1" 0 $?
+got=$(md5sum < "$tmpdir/grid.out" | cut -d' ' -f1)
+[ "$got" = "0b68cebe6eedb18b9ea90a05a92e5388" ] || {
+  echo "FAIL: grid batch digest $got, expected 0b68cebe6eedb18b9ea90a05a92e5388" >&2
+  fails=$((fails + 1)); }
+
 # 10. an unknown --obs-only subsystem is a spec error: exit 4, one line
 "$cli" decompose --fig1 --obs-only bogus > /dev/null 2> "$tmpdir/err"
 expect "unknown --obs-only subsystem" 4 $?

@@ -34,7 +34,6 @@ let test_ctx_defaults () =
   Alcotest.(check int) "domains 1" 1 d.Engine.Ctx.domains;
   Alcotest.(check bool) "no budget" true (d.Engine.Ctx.budget = None);
   Alcotest.(check bool) "no cache" true (d.Engine.Ctx.cache = None);
-  Alcotest.(check bool) "obs on" true d.Engine.Ctx.obs;
   Alcotest.(check int) "default_grid agrees" Engine.Ctx.default_grid
     d.Engine.Ctx.grid;
   Alcotest.(check int) "default_refine agrees" Engine.Ctx.default_refine

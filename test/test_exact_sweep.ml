@@ -191,7 +191,7 @@ let test_piece_tiling () =
 
 let test_counters_tick () =
   let g = Instances.ring ~seed:77 ~n:8 (Weights.Uniform (1, 100)) in
-  let ctx = Engine.Ctx.make ~obs:true ~sweep:Engine.Exact () in
+  let ctx = Engine.Ctx.make ~sweep:Engine.Exact () in
   Obs.set_metrics true;
   let before = Obs.snapshot () in
   let e =
@@ -226,7 +226,7 @@ let pin_dists =
 let pin_ring seed = Instances.ring ~seed ~n:10 pin_dists.(seed mod 3)
 
 let test_attack_work_pin () =
-  let ctx = Engine.Ctx.make ~obs:true ~sweep:Engine.Exact () in
+  let ctx = Engine.Ctx.make ~sweep:Engine.Exact () in
   Obs.set_metrics true;
   let before = Obs.snapshot () in
   Fun.protect

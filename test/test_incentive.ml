@@ -87,6 +87,64 @@ let test_shared_honest_matches_per_vertex () =
   check_q "same honest" a.Incentive.honest b.Incentive.honest;
   check_q "same ratio" a.Incentive.ratio b.Incentive.ratio
 
+(* The grid search's answers and work counts, pinned over a battery:
+   60 seeded rings (n = 3..12, three weight distributions) plus a ring
+   with zero weights, every vertex, five (grid, refine) settings at
+   k = 2, and (grid, refine) = (6, 1) at k = 3 on the rings with
+   n ≤ 6.  The digests hash one "v w1 utility ratio" line per search. *)
+let pin_rings () =
+  let dists =
+    Weights.[| Uniform (1, 100); Powerlaw (1000, 2.0); Bimodal (1, 100, 0.3) |]
+  in
+  List.init 60 (fun i ->
+      Instances.ring ~seed:(i + 1) ~n:(3 + (i mod 10)) dists.(i mod 3))
+  @ [ Generators.ring_of_ints [| 0; 4; 0; 7; 2; 0 |] ]
+
+let test_grid_pins () =
+  Obs.reset ();
+  Obs.set_metrics true;
+  Fun.protect ~finally:(fun () -> Obs.set_metrics false) @@ fun () ->
+  let rings = pin_rings () in
+  let buf = Buffer.create 65536 in
+  let line v ws (u : Q.t) (r : Q.t) =
+    Buffer.add_string buf
+      (Printf.sprintf "%d %s %s %s\n" v ws (Q.to_string u) (Q.to_string r))
+  in
+  List.iter
+    (fun (grid, refine) ->
+      let ctx = Engine.Ctx.make ~grid ~refine () in
+      List.iter
+        (fun g ->
+          for v = 0 to Graph.n g - 1 do
+            let a = Incentive.best_split ~ctx g ~v in
+            line v (Q.to_string a.w1) a.utility a.ratio
+          done)
+        rings)
+    [ (8, 1); (32, 3); (12, 2); (6, 0); (2, 4) ];
+  let s = Obs.snapshot () in
+  let count name = Obs.counter_value s ~subsystem:"incentive" name in
+  let k2 = Digest.to_hex (Digest.string (Buffer.contents buf)) in
+  Buffer.clear buf;
+  let ctx = Engine.Ctx.make ~grid:6 ~refine:1 ~identities:3 () in
+  List.iter
+    (fun g ->
+      if Graph.n g <= 6 then
+        for v = 0 to Graph.n g - 1 do
+          let a = Incentive.best_splitk ~ctx g ~v in
+          line v
+            (String.concat ";" (Array.to_list (Array.map Q.to_string a.weights)))
+            a.utility a.ratio
+        done)
+    rings;
+  let k3 = Digest.to_hex (Digest.string (Buffer.contents buf)) in
+  Alcotest.(check string) "k = 2 digest" "4749382fa0ba8608d0d9e8db5c50275b" k2;
+  Alcotest.(check string) "k = 3 digest" "eef2af49c9007795efc04bed4e10c0fb" k3;
+  Alcotest.(check int) "k = 2 memo_lookups" 96317 (count "memo_lookups");
+  Alcotest.(check int) "k = 2 memo_hits" 10867 (count "memo_hits");
+  Alcotest.(check int) "k = 2 sweep_points" 97863 (count "sweep_points");
+  Alcotest.(check int) "k = 2 sweep_points_deduped" 96317
+    (count "sweep_points_deduped")
+
 (* ------------------------------------------------------------------ *)
 (* Tightness family (Lower_bound)                                      *)
 (* ------------------------------------------------------------------ *)
@@ -170,6 +228,8 @@ let () =
             test_parallel_inner_sweep_deterministic;
           Alcotest.test_case "shared honest decomposition" `Quick
             test_shared_honest_matches_per_vertex;
+          Alcotest.test_case "grid answers and work pinned" `Quick
+            test_grid_pins;
         ] );
       ( "tightness family",
         [

@@ -70,8 +70,8 @@ let test_memo_identity () =
       Alcotest.(check bool) "dedup <= raw sweep points" true (dedup <= pts);
       Alcotest.(check bool) "deduped points exist" true (dedup > 0))
 
-(* The k-way weight-vector memo obeys the same identity, and the
-   simplex sweep's own counters tick. *)
+(* At k = 3 the grid search runs through the same memo and the same
+   counters, so the identity holds there too. *)
 let test_kway_memo_identity () =
   with_obs ~metrics:true (fun () ->
       let g = e1_ring () in
@@ -80,16 +80,16 @@ let test_kway_memo_identity () =
            ~ctx:(Engine.Ctx.make ~grid:6 ~refine:2 ~identities:3 ())
            g ~v:0);
       let s = Obs.snapshot () in
-      let lookups = count s "incentive" "kway_memo_lookups" in
-      let hits = count s "incentive" "kway_memo_hits" in
-      let misses = count s "incentive" "kway_memo_misses" in
-      Alcotest.(check bool) "kway lookups happened" true (lookups > 0);
-      Alcotest.(check int) "kway hits + misses = lookups" lookups
+      let lookups = count s "incentive" "memo_lookups" in
+      let hits = count s "incentive" "memo_hits" in
+      let misses = count s "incentive" "memo_misses" in
+      Alcotest.(check bool) "k = 3 lookups happened" true (lookups > 0);
+      Alcotest.(check int) "k = 3 hits + misses = lookups" lookups
         (hits + misses);
       (* the zoom rounds revisit the previous best vector *)
-      Alcotest.(check bool) "some kway hits" true (hits > 0);
-      Alcotest.(check bool) "kway points counted" true
-        (count s "incentive" "kway_points" > 0))
+      Alcotest.(check bool) "some k = 3 hits" true (hits > 0);
+      Alcotest.(check bool) "k = 3 sweep points counted" true
+        (count s "incentive" "sweep_points" > 0))
 
 (* --- Dinic: augmenting paths within the V*E bound ----------------- *)
 
